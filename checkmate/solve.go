@@ -493,10 +493,11 @@ func (w *Workload) solveApproxRequest(ctx context.Context, req Request, em *emit
 	// uses, so it flows through Done events, /v1/stats, and the benchmark
 	// record unchanged.
 	sched.Solver = milp.Counters{
-		SimplexIters: r.Search.SimplexIters,
-		DualIters:    r.Search.DualIters,
-		EpsSolves:    int64(r.Search.LPSolves),
-		EpsWarmHits:  int64(r.Search.WarmHits),
+		SimplexIters:   r.Search.SimplexIters,
+		DualIters:      r.Search.DualIters,
+		DualStartIters: r.Search.DualStartIters,
+		EpsSolves:      int64(r.Search.LPSolves),
+		EpsWarmHits:    int64(r.Search.WarmHits),
 	}
 	return sched, nil
 }

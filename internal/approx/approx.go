@@ -77,12 +77,14 @@ type Result struct {
 
 // SearchStats aggregates the LP work of one ε-search: how many relaxations
 // ran, how many warm-started from the previous ε's basis instead of paying a
-// cold two-phase solve, and the simplex iterations spent.
+// cold solve, and the simplex iterations spent (DualIters warm, and
+// DualStartIters cold, in the dual simplex).
 type SearchStats struct {
-	LPSolves     int
-	WarmHits     int
-	SimplexIters int64
-	DualIters    int64
+	LPSolves       int
+	WarmHits       int
+	SimplexIters   int64
+	DualIters      int64
+	DualStartIters int64
 }
 
 // Solve runs two-phase rounding once at the configured ε.
@@ -98,19 +100,38 @@ func Solve(inst core.Instance, opt Options) (*Result, error) {
 // promptly when ctx is cancelled and ctx.Err() is returned.
 func SolveCtx(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	r, _, err := solveAtEps(ctx, inst, opt, opt.Epsilon, nil, nil)
+	f, err := build(ctx, inst)
+	if err != nil {
+		return nil, err
+	}
+	r, _, err := solveAtEps(ctx, f, inst, opt, opt.Epsilon, nil, nil)
 	return r, err
 }
 
-// solveAtEps runs one two-phase rounding at the given ε, warm-starting the
-// deflated-budget LP from a previous ε's basis when one is offered, and
-// returns the rounding plus the basis for the next point in the chain.
-func solveAtEps(ctx context.Context, inst core.Instance, opt Options, eps float64, warm *lp.Basis, stats *SearchStats) (*Result, *lp.Basis, error) {
+// build constructs the partitioned formulation the ε points share; each
+// point moves its budget with SetBudget instead of rebuilding it.
+func build(ctx context.Context, inst core.Instance) (*core.Formulation, error) {
+	_, span := telemetry.StartSpan(ctx, "presolve")
+	defer span.End()
+	f, err := core.Build(inst, core.BuildOptions{FrontierAdvancing: true})
+	if err != nil {
+		return nil, fmt.Errorf("approx: %w", err)
+	}
+	v, r := f.Stats()
+	span.SetAttr("vars", v)
+	span.SetAttr("rows", r)
+	return f, nil
+}
+
+// solveAtEps runs one two-phase rounding at the given ε: it moves f to the
+// deflated budget, warm-starts the LP from a previous ε's basis when one is
+// offered, and returns the rounding plus the basis for the next point in the
+// chain.
+func solveAtEps(ctx context.Context, f *core.Formulation, inst core.Instance, opt Options, eps float64, warm *lp.Basis, stats *SearchStats) (*Result, *lp.Basis, error) {
 	ctx, span := telemetry.StartSpan(ctx, "eps_point", telemetry.A("eps", eps))
 	defer span.End()
-	deflated := inst
-	deflated.Budget = int64(float64(inst.Budget) * (1 - eps))
-	rel, err := core.SolveRelaxationChained(ctx, deflated, false, warm)
+	f.SetBudget(int64(float64(inst.Budget) * (1 - eps)))
+	rel, err := f.Relax(ctx, warm)
 	if err != nil {
 		return nil, nil, fmt.Errorf("approx: %w", err)
 	}
@@ -121,6 +142,7 @@ func solveAtEps(ctx context.Context, inst core.Instance, opt Options, eps float6
 		}
 		stats.SimplexIters += int64(rel.Iters)
 		stats.DualIters += int64(rel.DualIters)
+		stats.DualStartIters += int64(rel.DualStartIters)
 	}
 	if opt.Randomized {
 		_, rspan := telemetry.StartSpan(ctx, "rounding", telemetry.A("samples", opt.Samples))
@@ -151,10 +173,14 @@ func SolveWithSearch(inst core.Instance, opt Options) (*Result, error) {
 // each LP warm-starts from the previous point's optimal basis: the ε LPs
 // differ only in the budget rows' right-hand sides, so the basis stays
 // dual-feasible and reoptimizes in a few dual pivots instead of a cold
-// two-phase solve (the same chaining SweepILP applies to Figure 5 curves).
+// solve (the same chaining SweepILP applies to Figure 5 curves).
 // The returned Result's Search field records the chain's LP work.
 func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	f, err := build(ctx, inst)
+	if err != nil {
+		return nil, err
+	}
 	var best *Result
 	var stats SearchStats
 	var chain *lp.Basis
@@ -169,7 +195,7 @@ func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*
 			}
 			return nil, fmt.Errorf("approx: search cancelled: %w", err)
 		}
-		r, basis, err := solveAtEps(ctx, inst, opt, eps, chain, &stats)
+		r, basis, err := solveAtEps(ctx, f, inst, opt, eps, chain, &stats)
 		if err != nil {
 			if ctx.Err() != nil {
 				if best != nil {

@@ -50,6 +50,13 @@ type Formulation struct {
 
 	edges [][2]graph.NodeID
 
+	// budgetRows are the memory-budget rows, the only place the budget
+	// enters the LP (see SetBudget).
+	budgetRows []int32
+	overhead   float64 // scaled Inst.Overhead
+
+	solver *lp.Solver // Relax's engine, reused across budgets
+
 	costScale float64 // objective scaling (numerics only)
 	memScale  float64 // memory scaling (numerics only)
 }
@@ -110,6 +117,7 @@ func Build(inst Instance, opt BuildOptions) (*Formulation, error) {
 	}
 	budget := float64(inst.Budget) / f.memScale
 	overhead := float64(inst.Overhead) / f.memScale
+	f.overhead = overhead
 	mem := func(i int) float64 { return float64(g.Node(graph.NodeID(i)).Mem) / f.memScale }
 	cost := func(i int) float64 { return g.Node(graph.NodeID(i)).Cost / f.costScale }
 
@@ -278,7 +286,7 @@ func Build(inst Instance, opt BuildOptions) (*Formulation, error) {
 			}
 			idx = append(idx, rVar(t, k))
 			val = append(val, mem(k))
-			p.AddRow(lp.LE, budget-overhead, idx, val)
+			f.budgetRows = append(f.budgetRows, int32(p.AddRow(lp.LE, budget-overhead, idx, val)))
 			// After evaluating k, its dependencies may be freed, lowering
 			// all subsequent U values in the stage.
 			for _, ei := range edgesInto[k] {
@@ -501,6 +509,18 @@ func (f *Formulation) TrueCost(scaledObj float64) float64 {
 // Stats reports the formulation size, matching the paper's O(|V||E|) claim.
 func (f *Formulation) Stats() (vars, rows int) {
 	return f.Prob.LP.NumVars(), f.Prob.LP.NumRows()
+}
+
+// SetBudget moves the formulation to another memory budget in place. The
+// budget enters the MILP only through the right-hand sides of the budget
+// rows, so this equals a fresh Build at the new budget — and a basis from
+// the old budget stays dual-feasible for the new one.
+func (f *Formulation) SetBudget(budget int64) {
+	f.Inst.Budget = budget
+	rhs := float64(budget)/f.memScale - f.overhead
+	for _, i := range f.budgetRows {
+		f.Prob.LP.SetRHS(int(i), rhs)
+	}
 }
 
 var _ = math.Inf // reserved for future numeric guards

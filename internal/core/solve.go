@@ -268,7 +268,11 @@ func SolveRelaxation(inst Instance, unpartitioned bool) (*FractionalSched, float
 // SolveRelaxationCtx is SolveRelaxation with cancellation; when ctx is
 // cancelled mid-solve the simplex stops and ctx.Err() is returned.
 func SolveRelaxationCtx(ctx context.Context, inst Instance, unpartitioned bool) (*FractionalSched, float64, error) {
-	r, err := SolveRelaxationChained(ctx, inst, unpartitioned, nil)
+	f, err := Build(inst, BuildOptions{FrontierAdvancing: !unpartitioned})
+	if err != nil {
+		return nil, 0, err
+	}
+	r, err := f.Relax(ctx, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -284,33 +288,34 @@ type Relaxation struct {
 	// next relaxation of the same graph at a different budget — the budget
 	// enters the formulation only through constraint right-hand sides, so
 	// the basis stays dual-feasible and the next solve reoptimizes with a
-	// few dual pivots instead of a cold two-phase solve.
+	// few dual pivots instead of a cold solve.
 	Basis *lp.Basis
-	// Iters / DualIters / Warm describe the solve's simplex work (Warm
-	// reports whether the offered basis was actually accepted).
-	Iters     int
-	DualIters int
-	Warm      bool
+	// Iters / DualIters / DualStartIters / Warm describe the solve's simplex
+	// work (Warm reports whether the offered basis was actually accepted).
+	Iters          int
+	DualIters      int
+	DualStartIters int
+	Warm           bool
 }
 
-// SolveRelaxationChained is SolveRelaxationCtx with basis chaining for
+// Relax solves the formulation's LP relaxation with basis chaining for
 // budget series: warm (from a previous Relaxation.Basis, nil for a cold
 // start) seeds the simplex, and the returned Relaxation carries the basis
-// for the next point. The approximation path's ε-search threads its LPs
-// through this in decreasing-budget order.
-func SolveRelaxationChained(ctx context.Context, inst Instance, unpartitioned bool, warm *lp.Basis) (*Relaxation, error) {
+// for the next point. The approximation path's ε-search builds the
+// formulation once and threads its LPs through this in decreasing-budget
+// order, moving the budget with SetBudget. The simplex engine belongs to
+// the formulation, so the chain reuses one engine and releases it with the
+// formulation rather than parking a model-sized engine in a shared pool;
+// Relax is therefore not safe for concurrent use on one formulation.
+func (f *Formulation) Relax(ctx context.Context, warm *lp.Basis) (*Relaxation, error) {
 	_, span := telemetry.StartSpan(ctx, "lp_relax", telemetry.A("warm", warm != nil))
 	defer span.End()
-	f, err := Build(inst, BuildOptions{FrontierAdvancing: !unpartitioned})
-	if err != nil {
-		return nil, err
+	if f.solver == nil {
+		f.solver = lp.NewSolver()
 	}
-	// Polish: the fractional solution is rounded downstream, so the warm
-	// solve must land on the same canonical vertex a cold solve picks among
-	// degenerate alternative optima — otherwise chaining would change (and
-	// sometimes degrade) the rounding.
-	sol := f.Prob.LP.Solve(lp.Options{Cancel: ctx.Done(), WarmStart: warm, Polish: warm != nil})
+	sol := f.solver.Solve(f.Prob.LP, lp.Options{Cancel: ctx.Done(), WarmStart: warm})
 	span.SetAttr("iters", sol.Iters)
+	span.SetAttr("dual_start_iters", sol.DualStartIters)
 	span.SetAttr("accepted_warm", sol.Warm)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: relaxation cancelled: %w", err)
@@ -319,12 +324,13 @@ func SolveRelaxationChained(ctx context.Context, inst Instance, unpartitioned bo
 		return nil, fmt.Errorf("core: LP relaxation: %v", sol.Status)
 	}
 	return &Relaxation{
-		FS:        f.ExtractFractional(sol.X),
-		Obj:       f.TrueCost(sol.Obj),
-		Basis:     sol.Basis,
-		Iters:     sol.Iters,
-		DualIters: sol.DualIters,
-		Warm:      sol.Warm,
+		FS:             f.ExtractFractional(sol.X),
+		Obj:            f.TrueCost(sol.Obj),
+		Basis:          sol.Basis,
+		Iters:          sol.Iters,
+		DualIters:      sol.DualIters,
+		DualStartIters: sol.DualStartIters,
+		Warm:           sol.Warm,
 	}, nil
 }
 

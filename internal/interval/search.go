@@ -286,6 +286,7 @@ func (pb *problem) solveRel(sv *lp.Solver, lo, hi []int32, basis *lp.Basis, canc
 func account(c *milp.Counters, sol *lp.Solution, offered *lp.Basis, isRoot bool) {
 	c.SimplexIters += int64(sol.Iters)
 	c.DualIters += int64(sol.DualIters)
+	c.DualStartIters += int64(sol.DualStartIters)
 	c.BoundFlips += int64(sol.BoundFlips)
 	c.PricingUpdates += int64(sol.PricingUpdates)
 	if isRoot {

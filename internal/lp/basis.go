@@ -10,7 +10,7 @@ import "math"
 //
 //   - After a variable-bound change (branching) the old optimal basis stays
 //     dual-feasible, so reoptimization runs the dual simplex for a handful of
-//     pivots instead of a cold two-phase solve.
+//     pivots instead of a cold solve from the slack basis.
 //   - After an RHS change (a new budget point) dual feasibility is likewise
 //     preserved — the dual vector does not depend on b.
 //

@@ -27,13 +27,22 @@ type factor struct {
 	m int
 
 	// L: unit lower triangular (processing order), off-diagonal entries per
-	// column in original-row indexing.
-	lIdx [][]int32
-	lVal [][]float64
+	// column in original-row indexing. lCols lists the positions whose
+	// column has any, ascending: simplex bases are nearly triangular, so L
+	// is nearly the identity and the solves visit only these.
+	lIdx  [][]int32
+	lVal  [][]float64
+	lCols []int32
 	// U: upper triangular in processing space, off-diagonals per column.
 	uIdx  [][]int32
 	uVal  [][]float64
 	uDiag []float64
+	// The same off-diagonals by row (row t holds the columns k > t with a
+	// U[t][k] entry), rebuilt at each refactorization, so BTRAN's Uᵀ solve
+	// scatters from each nonzero instead of gathering over all of U.
+	urPtr []int32
+	urIdx []int32
+	urVal []float64
 
 	pivRow []int32 // processing position -> original row
 	rowPos []int32 // original row -> processing position
@@ -84,6 +93,7 @@ func newFactor(m int) *factor {
 		uIdx:      make([][]int32, m),
 		uVal:      make([][]float64, m),
 		uDiag:     make([]float64, m),
+		urPtr:     make([]int32, m+1),
 		pivRow:    make([]int32, m),
 		rowPos:    make([]int32, m),
 		slotOfPos: make([]int32, m),
@@ -366,7 +376,51 @@ func (f *factor) refactorize(col func(slot int, scatter []float64) []int32) erro
 		}
 	}
 	f.touched = touched[:0] // retain grown capacity
+	f.lCols = f.lCols[:0]
+	for t := 0; t < m; t++ {
+		if len(f.lIdx[t]) > 0 {
+			f.lCols = append(f.lCols, int32(t))
+		}
+	}
+	f.transposeU()
 	return nil
+}
+
+// transposeU rebuilds the row-wise copy of U's off-diagonals.
+func (f *factor) transposeU() {
+	ptr := f.urPtr
+	for i := range ptr {
+		ptr[i] = 0
+	}
+	for k := 0; k < f.m; k++ {
+		for _, t := range f.uIdx[k] {
+			ptr[t+1]++
+		}
+	}
+	for t := 0; t < f.m; t++ {
+		ptr[t+1] += ptr[t]
+	}
+	nnz := int(ptr[f.m])
+	if cap(f.urIdx) < nnz {
+		// U's fill grows as the basis drifts from the slack basis; leave
+		// headroom so each refactorization does not reallocate.
+		f.urIdx = make([]int32, nnz, nnz+nnz/2)
+		f.urVal = make([]float64, nnz, nnz+nnz/2)
+	}
+	f.urIdx, f.urVal = f.urIdx[:nnz], f.urVal[:nnz]
+	// Fill with ptr[t] as row t's cursor, then shift the cursors back.
+	for k := 0; k < f.m; k++ {
+		uv := f.uVal[k]
+		for s, t := range f.uIdx[k] {
+			at := ptr[t]
+			f.urIdx[at], f.urVal[at] = int32(k), uv[s]
+			ptr[t]++
+		}
+	}
+	for t := f.m; t > 0; t-- {
+		ptr[t] = ptr[t-1]
+	}
+	ptr[0] = 0
 }
 
 // computeReach finds every already-factored pivot column whose elimination
@@ -417,18 +471,22 @@ func (f *factor) computeReach(rows []int32) []int32 {
 // dense); on exit buf holds x (basis-slot indexed, dense).
 func (f *factor) ftran(buf []float64) {
 	m := f.m
-	y := f.work2
-	for t := 0; t < m; t++ {
-		v := buf[f.pivRow[t]]
-		y[t] = v
-		if v != 0 {
+	for _, t := range f.lCols {
+		if v := buf[f.pivRow[t]]; v != 0 {
 			li, lv := f.lIdx[t], f.lVal[t]
 			for s, r := range li {
 				buf[r] -= lv[s] * v
 			}
 		}
 	}
+	y := f.work2
+	for t := 0; t < m; t++ {
+		y[t] = buf[f.pivRow[t]]
+	}
 	for k := m - 1; k >= 0; k-- {
+		if y[k] == 0 {
+			continue
+		}
 		xk := y[k] / f.uDiag[k]
 		y[k] = xk
 		ui, uv := f.uIdx[k], f.uVal[k]
@@ -472,22 +530,29 @@ func (f *factor) btran(buf []float64) {
 	for pos := 0; pos < m; pos++ {
 		c[pos] = buf[f.slotOfPos[pos]]
 	}
-	// Solve Uᵀ z = c forward (z processing indexed).
+	// Solve Uᵀ z = c forward (z processing indexed), scattering each
+	// nonzero zₜ into the later entries of c along U's row t.
 	z := f.work2
-	for k := 0; k < m; k++ {
-		v := c[k]
-		ui, uv := f.uIdx[k], f.uVal[k]
-		for s, t := range ui {
-			v -= uv[s] * z[t]
+	for t := 0; t < m; t++ {
+		v := c[t]
+		if v == 0 {
+			z[t] = 0
+			continue
 		}
-		z[k] = v / f.uDiag[k]
+		v /= f.uDiag[t]
+		z[t] = v
+		for s := f.urPtr[t]; s < f.urPtr[t+1]; s++ {
+			c[f.urIdx[s]] -= f.urVal[s] * v
+		}
 	}
-	// Solve Lᵀ y = z backward, y original-row indexed, into buf.
-	for i := range buf[:m] {
-		buf[i] = 0
+	// Solve Lᵀ y = z backward, y original-row indexed, into buf: scatter z,
+	// then correct the entries of the positions with L columns.
+	for t := 0; t < m; t++ {
+		buf[f.pivRow[t]] = z[t]
 	}
-	for t := m - 1; t >= 0; t-- {
-		v := z[t]
+	for k := len(f.lCols) - 1; k >= 0; k-- {
+		t := f.lCols[k]
+		v := buf[f.pivRow[t]]
 		li, lv := f.lIdx[t], f.lVal[t]
 		for s, r := range li {
 			v -= lv[s] * buf[r]

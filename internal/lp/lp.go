@@ -1,6 +1,6 @@
 // Package lp implements a linear-programming solver: a bounded-variable
-// primal revised simplex method with a sparse LU basis factorization and
-// product-form (eta) updates.
+// revised simplex method, primal and dual, with a sparse LU basis
+// factorization and product-form (eta) updates.
 //
 // Checkmate's optimal rematerialization formulation (paper Section 4.7) is a
 // mixed integer linear program. The paper solves it with Gurobi or COIN-OR;
@@ -16,8 +16,12 @@
 //	            l ≤ x ≤ u          (bounds may be ±Inf)
 //
 // Internally every row receives a slack variable turning the system into
-// Ax + Is = b with bounded slacks, and infeasibility is resolved with a
-// textbook two-phase method using explicit artificial variables.
+// Ax + Is = b with bounded slacks. A cold solve starts from the slack basis
+// with every structural at a bound. When that basis is dual-feasible — each
+// cost has the sign its bound favours, as in every Checkmate LP, whose costs
+// are all nonnegative — the dual simplex drives out the primal
+// infeasibilities; otherwise, or if the dual start breaks down, a textbook
+// two-phase primal method with explicit artificial variables does.
 package lp
 
 import (
@@ -67,6 +71,8 @@ type Problem struct {
 	rowVal   [][]float64
 
 	startUpper []bool // initial-point hints: park variable at its upper bound
+
+	rowPos []int32 // AddRow scratch, all zero between calls
 }
 
 // NumVars returns the number of structural variables added so far.
@@ -121,27 +127,34 @@ func (p *Problem) AddRow(sense Sense, rhs float64, idxs []int32, vals []float64)
 	if len(idxs) != len(vals) {
 		panic("lp: AddRow index/value length mismatch")
 	}
-	// Coalesce duplicates and drop zeros without disturbing caller slices.
-	seen := make(map[int32]int, len(idxs))
+	if len(p.rowPos) < len(p.cost) {
+		p.rowPos = append(p.rowPos, make([]int32, len(p.cost)-len(p.rowPos))...)
+	}
+	// Coalesce duplicates and drop zeros without disturbing caller slices;
+	// rowPos[j] holds 1 + j's position in this row while the row is built.
 	ci := make([]int32, 0, len(idxs))
 	cv := make([]float64, 0, len(vals))
 	for k, j := range idxs {
 		if int(j) < 0 || int(j) >= len(p.cost) {
+			for _, c := range ci {
+				p.rowPos[c] = 0
+			}
 			panic(fmt.Sprintf("lp: AddRow references unknown variable %d", j))
 		}
-		if pos, ok := seen[j]; ok {
-			cv[pos] += vals[k]
+		if pos := p.rowPos[j]; pos > 0 {
+			cv[pos-1] += vals[k]
 			continue
 		}
-		seen[j] = len(ci)
 		ci = append(ci, j)
 		cv = append(cv, vals[k])
+		p.rowPos[j] = int32(len(ci))
 	}
 	// Drop exact zeros.
 	wi, wv := ci[:0], cv[:0]
-	for k := range ci {
+	for k, j := range ci {
+		p.rowPos[j] = 0
 		if cv[k] != 0 {
-			wi = append(wi, ci[k])
+			wi = append(wi, j)
 			wv = append(wv, cv[k])
 		}
 	}
@@ -151,6 +164,9 @@ func (p *Problem) AddRow(sense Sense, rhs float64, idxs []int32, vals []float64)
 	p.rowVal = append(p.rowVal, wv)
 	return len(p.rowRHS) - 1
 }
+
+// SetRHS overwrites the right-hand side of row i.
+func (p *Problem) SetRHS(i int, rhs float64) { p.rowRHS[i] = rhs }
 
 // Clone returns a deep copy. Useful for branch-and-bound, which mutates
 // bounds per node.
@@ -217,8 +233,13 @@ type Solution struct {
 	// search; 0 when phase 1 was skipped (feasible start or warm start).
 	Phase1Iters int
 	// DualIters is the portion of Iters spent in dual-simplex
-	// reoptimization (warm-started solves only).
+	// reoptimization of an accepted warm-start basis.
 	DualIters int
+	// DualStartIters is the portion of Iters the dual simplex spent from
+	// the cold slack basis (see Solve); 0 when the slack basis was
+	// primal-feasible, was not dual-feasible, or a warm start drove the
+	// solve.
+	DualStartIters int
 	// BoundFlips counts nonbasic variables the long-step (bound-flipping)
 	// dual ratio test moved bound-to-bound without a basis change. Each flip
 	// stands in for a full dual pivot, so on box-constrained problems a high
@@ -294,19 +315,11 @@ type Options struct {
 	// independence property tests.
 	Dantzig bool
 	// Cancel, when non-nil, aborts the solve soon after the channel closes
-	// (checked every few simplex iterations). A cancelled solve reports
+	// (checked before every simplex pivot). A cancelled solve reports
 	// StatusIterLimit, the same as exhausting MaxIters: in both cases the
 	// solve stopped early without a verdict. Callers that need to
 	// distinguish cancellation inspect their context afterwards.
 	Cancel <-chan struct{}
-	// Polish re-optimizes a warm-started solve with the deterministic
-	// tie-breaking cost perturbation (then the exact costs) after the dual
-	// simplex reaches optimality, so the returned vertex is the same
-	// canonical one a cold solve picks among degenerate alternative optima.
-	// Costs a few extra pivots; set it when the solution vector itself is
-	// consumed downstream (the approximation's rounding), not just the
-	// objective (branch-and-bound nodes leave it off).
-	Polish bool
 	// WarmStart, when non-nil, seeds the solve with a basis exported from a
 	// previous solve (Solution.Basis) of this problem or of a structurally
 	// identical problem with different bounds or RHS. A primal-feasible

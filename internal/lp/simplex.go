@@ -59,20 +59,33 @@ type simplex struct {
 	// Candidate scratch for the dual ratio test.
 	cands []dualCand
 
+	// Dual simplex state, over the structural and slack columns: reduced
+	// costs of the exact phase-2 costs, updated per pivot and recomputed at
+	// every refactorization; and the pivot row α = ρᵀA, computed row-wise
+	// from ρ's nonzeros (rowCols lists the columns it touched, inRow marks
+	// them; both are cleared after each pivot).
+	d       []float64
+	alpha   []float64
+	inRow   []bool
+	rowCols []int32
+
+	ident []int32 // ident[i] = i: the one-entry row list of slack and artificial columns
+
 	fillBuf []int32   // CSC build scratch (one cursor per structural column)
 	seenBuf []bool    // installBasis validation scratch
 	p1buf   []float64 // phase-1 cost vector scratch
 
-	iters      int
-	p1iters    int
-	dualIters  int
-	flips      int // bound flips performed by the long-step dual ratio test
-	dseUpdates int // DSE reference-weight updates applied
-	degens     int
-	phase      int
-	blandLeft  int // if > 0, use Bland's rule for this many iterations
-	degenRun   int
-	warm       bool // a warm-start basis was accepted and used
+	iters          int
+	p1iters        int
+	dualIters      int // dual pivots reoptimizing a warm-start basis
+	dualStartIters int // dual pivots from the cold slack basis
+	flips          int // bound flips performed by the long-step dual ratio test
+	dseUpdates     int // DSE reference-weight updates applied
+	degens         int
+	phase          int
+	blandLeft      int // if > 0, use Bland's rule for this many iterations
+	degenRun       int
+	warm           bool // a warm-start basis was accepted and used
 
 	duals []float64 // y at phase-2 optimality, original-row indexed
 }
@@ -103,6 +116,13 @@ func newSimplex(p *Problem, opt Options) *simplex {
 	s.bufT = make([]float64, m)
 	s.devex = make([]float64, s.total)
 	s.dse = make([]float64, m)
+	s.d = make([]float64, n+m)
+	s.alpha = make([]float64, n+m)
+	s.inRow = make([]bool, n+m)
+	s.ident = make([]int32, m)
+	for i := range s.ident {
+		s.ident[i] = int32(i)
+	}
 	s.load(p, opt)
 	return s
 }
@@ -182,7 +202,7 @@ func (s *simplex) load(p *Problem, opt Options) {
 		s.stat[j] = statAtLower
 	}
 	s.pcost = nil
-	s.iters, s.p1iters, s.dualIters = 0, 0, 0
+	s.iters, s.p1iters, s.dualIters, s.dualStartIters = 0, 0, 0, 0
 	s.flips, s.dseUpdates, s.degens = 0, 0, 0
 	s.phase, s.blandLeft, s.degenRun = 0, 0, 0
 	s.warm = false
@@ -236,7 +256,7 @@ func (s *simplex) perturbedCosts() []float64 {
 }
 
 // scatterCol adds column j into dense w (original-row indexed) and returns
-// the nonzero row list.
+// the nonzero row list, a read-only view of engine-owned storage.
 func (s *simplex) scatterCol(j int, w []float64) []int32 {
 	switch {
 	case j < s.n:
@@ -246,13 +266,13 @@ func (s *simplex) scatterCol(j int, w []float64) []int32 {
 		}
 		return s.colRow[lo:hi]
 	case j < s.n+s.m:
-		r := int32(j - s.n)
+		r := j - s.n
 		w[r] += 1
-		return []int32{r}
+		return s.ident[r : r+1]
 	default:
-		r := int32(j - s.n - s.m)
+		r := j - s.n - s.m
 		w[r] += s.artSign[r]
-		return []int32{r}
+		return s.ident[r : r+1]
 	}
 }
 
@@ -370,54 +390,47 @@ func (s *simplex) infeasibility() float64 {
 	return v
 }
 
-// solve optimizes the problem. With a warm-start basis it first attempts the
-// reoptimization fast paths (skip phase 1 when the basis is primal-feasible;
-// dual simplex when it is only dual-feasible); any warm-path breakdown falls
-// back to the cold two-phase primal method, so warm starts never affect
-// correctness, only pivot counts.
+// solve optimizes the problem. Every start that is primal-infeasible but
+// dual-feasible runs the dual simplex first: a warm-start basis after a bound
+// or RHS change, and the cold slack basis whenever each structural sits at a
+// bound its cost favours — every Checkmate LP, whose costs are all ≥ 0 at
+// lower bounds. A warm basis that is already primal-feasible skips phase 1.
+// Any dual breakdown (a stall, a numerical failure, or a dual ray whose
+// certificate does not check out) falls back to the cold two-phase primal
+// method, so the dual path never changes a result, only the pivot count.
 func (s *simplex) solve() *Solution {
 	tol := s.opt.Tol
 	if s.opt.WarmStart != nil && s.installBasis(s.opt.WarmStart) {
 		s.warm = true
-		if s.infeasibility() > tol {
-			// Primal-infeasible start: the textbook dual-simplex case if the
-			// basis is still dual-feasible (bound and RHS changes preserve
-			// dual feasibility). Otherwise restart cold.
-			handled := false
-			if s.dualFeasible(tol * 10) {
-				switch s.dualIterate() {
-				case StatusOptimal: // primal feasibility restored
-					handled = true
-				case StatusInfeasible:
-					// The dual ray says the primal is empty, but the warm
-					// start ran under loosened tolerances and tiny pivots
-					// were skipped — verdicts must never depend on the warm
-					// path, so fall through to a cold solve whose phase 1
-					// confirms (or refutes) infeasibility exactly.
-				case StatusIterLimit:
-					if s.iters >= s.opt.MaxIters || s.cancelled() {
-						return s.finishSolution(&Solution{Status: StatusIterLimit})
-					}
-					// Stalled or numerically stuck: fall through to cold.
-				}
-			}
-			if !handled {
-				s.warm = false
-			}
+		if _, final := s.dualStart(tol*10, &s.dualIters); final != nil {
+			return final
 		}
+		// Phase 1 (setupPhase1) installs artificials assuming the slack basis,
+		// so it must never run on a warm basis: one that is still primal
+		// infeasible restarts cold.
+		s.warm = s.infeasibility() <= tol
 	}
-	// Phase 1 (setupPhase1) installs artificials assuming the slack basis,
-	// so it must never run on a warm basis. The dual simplex stops when each
-	// basic variable is within tol of its bounds; if the *summed* residual
-	// still exceeds the phase-1 trigger, restart cold rather than corrupt
-	// the basis.
-	if s.warm && s.infeasibility() > tol {
-		s.warm = false
-	}
+	dualStarted := false
 	if !s.warm {
 		s.initialPoint()
+		done, final := s.dualStart(tol, &s.dualStartIters)
+		if final != nil {
+			return final
+		}
+		if !done && s.dualStartIters > 0 {
+			s.initialPoint() // the failed dual start moved the basis
+		}
+		dualStarted = done
 	}
+	return s.primal(dualStarted)
+}
 
+// primal finishes a solve with the primal simplex from the installed basis:
+// phase 1 if the basis is primal-infeasible (which requires the slack
+// basis), then phase 2, skipping the perturbed pass when skipPerturb is set
+// (the basis came out of the dual simplex) or the solve runs warm.
+func (s *simplex) primal(skipPerturb bool) *Solution {
+	tol := s.opt.Tol
 	if s.infeasibility() > tol {
 		// Phase 1: open artificial variables to absorb the residual of every
 		// infeasible row, producing a feasible start for min Σ artificials.
@@ -435,8 +448,9 @@ func (s *simplex) solve() *Solution {
 		for i := 0; i < s.m; i++ {
 			s.pcost[s.n+s.m+i] = 1
 		}
+		p1start := s.iters
 		st := s.iterate()
-		s.p1iters = s.iters
+		s.p1iters = s.iters - p1start
 		if st != StatusOptimal {
 			if st == StatusUnbounded {
 				// Phase-1 objective is bounded below by 0; an unbounded ray
@@ -458,15 +472,15 @@ func (s *simplex) solve() *Solution {
 		}
 	}
 
-	// Phase 2 runs first with deterministically perturbed costs to break the
-	// massive dual degeneracy of scheduling LPs (many identical cost
-	// coefficients), then re-optimizes with the exact costs — typically a
-	// handful of extra pivots. Warm starts skip the perturbation pass: the
-	// inherited basis is already optimal for the exact costs of a nearby
-	// problem, so perturbing would pivot away from it and back — unless the
-	// caller asked for a polished (canonical) vertex.
+	// A primal phase 2 from a phase-1 or slack-basis vertex runs first with
+	// deterministically perturbed costs to break the massive dual degeneracy
+	// of scheduling LPs (many identical cost coefficients), then re-optimizes
+	// with the exact costs — typically a handful of extra pivots. A basis the
+	// dual simplex produced skips the perturbation pass: it is already optimal
+	// for the exact costs up to tolerance, and perturbing would walk away from
+	// it. The exact-cost pass then confirms optimality and records the duals.
 	s.phase = 2
-	if !s.warm || s.opt.Polish {
+	if !s.warm && !skipPerturb {
 		s.pcost = s.perturbedCosts()
 		if st := s.iterate(); st != StatusOptimal {
 			if st == StatusUnbounded {
@@ -509,11 +523,40 @@ func (s *simplex) solve() *Solution {
 	return s.finishSolution(sol)
 }
 
+// dualStart runs the dual simplex from the installed basis when that basis
+// is primal-infeasible but dual-feasible within dtol, adding its pivots to
+// *count. done reports that it reached a basis within tol of primal
+// feasibility. final is non-nil when the solve ends here: a verified dual
+// ray proved the problem infeasible, or the iteration limit or cancellation
+// cut it. Otherwise — not applicable, stalled, or numerically stuck — the
+// caller continues with the primal method.
+func (s *simplex) dualStart(dtol float64, count *int) (done bool, final *Solution) {
+	tol := s.opt.Tol
+	if s.infeasibility() <= tol || !s.dualFeasible(dtol) {
+		return false, nil
+	}
+	before := s.iters
+	st := s.dualIterate()
+	*count += s.iters - before
+	switch {
+	case st == StatusOptimal:
+		// The dual stops once each basic variable is within tol of its
+		// bounds; the summed residual must also clear the phase-1 trigger.
+		return s.infeasibility() <= tol, nil
+	case st == StatusInfeasible:
+		return false, s.finishSolution(&Solution{Status: StatusInfeasible})
+	case s.iters >= s.opt.MaxIters || s.cancelled():
+		return false, s.finishSolution(&Solution{Status: StatusIterLimit})
+	}
+	return false, nil
+}
+
 // finishSolution stamps the iteration accounting shared by every solve exit.
 func (s *simplex) finishSolution(sol *Solution) *Solution {
 	sol.Iters = s.iters
 	sol.Phase1Iters = s.p1iters
 	sol.DualIters = s.dualIters
+	sol.DualStartIters = s.dualStartIters
 	sol.BoundFlips = s.flips
 	sol.PricingUpdates = s.dseUpdates
 	sol.Warm = s.warm
@@ -533,23 +576,36 @@ func (s *simplex) cancelled() bool {
 	}
 }
 
-// dualFeasible reports whether the current basis is dual-feasible for the
-// exact phase-2 costs: every nonbasic reduced cost has the sign its status
-// requires (≥ 0 at lower bound, ≤ 0 at upper, ≈ 0 free).
-func (s *simplex) dualFeasible(tol float64) bool {
+// computeReducedCosts sets s.d to the reduced costs cⱼ − aⱼᵀy of the exact
+// phase-2 costs at the current basis, y = B⁻ᵀc_B (0 on basic columns).
+// Artificial columns are skipped: they are fixed at zero whenever the dual
+// simplex runs.
+func (s *simplex) computeReducedCosts() {
 	y := s.bufY
-	for i := range y {
-		y[i] = 0
-	}
 	for i := 0; i < s.m; i++ {
 		y[i] = s.cost[s.basis[i]]
 	}
 	s.f.btran(y)
-	for j := 0; j < s.total; j++ {
+	for j := 0; j < s.n+s.m; j++ {
+		if s.stat[j] == statBasic {
+			s.d[j] = 0
+			continue
+		}
+		s.d[j] = s.cost[j] - s.colDot(j, y)
+	}
+}
+
+// dualFeasible reports whether the current basis is dual-feasible for the
+// exact phase-2 costs: every nonbasic reduced cost has the sign its status
+// requires (≥ 0 at lower bound, ≤ 0 at upper, ≈ 0 free). It leaves the
+// reduced costs in s.d, where dualIterate starts from them.
+func (s *simplex) dualFeasible(tol float64) bool {
+	s.computeReducedCosts()
+	for j := 0; j < s.n+s.m; j++ {
 		if s.stat[j] == statBasic || s.fixed(j) {
 			continue
 		}
-		d := s.cost[j] - s.colDot(j, y)
+		d := s.d[j]
 		switch s.stat[j] {
 		case statAtLower:
 			if d < -tol {
@@ -568,14 +624,95 @@ func (s *simplex) dualFeasible(tol float64) bool {
 	return true
 }
 
+// pivotRow computes αⱼ = aⱼᵀρ into s.alpha for every structural and slack
+// column, walking only the rows of A where ρ is nonzero, and returns the
+// columns it touched (every other αⱼ is 0). Artificial columns are left out:
+// they are fixed at zero whenever the dual simplex runs. clearPivotRow
+// resets the scratch for the next pivot.
+func (s *simplex) pivotRow(rho []float64) []int32 {
+	cols := s.rowCols[:0]
+	for i, r := range rho[:s.m] {
+		if r == 0 {
+			continue
+		}
+		vals := s.p.rowVal[i]
+		for k, j := range s.p.rowIdx[i] {
+			if !s.inRow[j] {
+				s.inRow[j] = true
+				cols = append(cols, j)
+			}
+			s.alpha[j] += r * vals[k]
+		}
+		sl := int32(s.n + i)
+		s.inRow[sl] = true
+		s.alpha[sl] = r
+		cols = append(cols, sl)
+	}
+	s.rowCols = cols
+	return cols
+}
+
+// clearPivotRow zeroes the pivot-row scratch pivotRow filled.
+func (s *simplex) clearPivotRow(cols []int32) {
+	for _, j := range cols {
+		s.alpha[j] = 0
+		s.inRow[j] = false
+	}
+}
+
+// farkasInfeasible reports whether the row combination ρ proves the
+// constraints empty: ρᵀb lies outside the range that ρᵀ(Ax + s) = Σⱼ αⱼxⱼ
+// takes over the column bounds (s.alpha holds the αⱼ of the columns in
+// cols; every other αⱼ is 0). Any ρ is a valid certificate however it was
+// computed, so the verdict does not rest on the dual simplex's tolerances.
+// The margin is the primal's own: a gap above 1e-6·‖ρ‖∞ forces phase 1 to
+// end with Σ artificials > 1e-6, so a certified problem is one the
+// two-phase primal also reports infeasible.
+func (s *simplex) farkasInfeasible(rho []float64, cols []int32) bool {
+	var b, rmax, scale float64
+	for i, r := range rho[:s.m] {
+		b += r * s.p.rowRHS[i]
+		rmax = math.Max(rmax, math.Abs(r))
+	}
+	lo, hi := 0.0, 0.0 // range of Σⱼ αⱼxⱼ over the bounds
+	for _, j := range cols {
+		a := s.alpha[j]
+		if a == 0 {
+			continue
+		}
+		tl, tu := a*s.lower[j], a*s.upper[j]
+		if a < 0 {
+			tl, tu = tu, tl
+		}
+		lo += tl
+		hi += tu
+		if !math.IsInf(tl, 0) {
+			scale += math.Abs(tl)
+		}
+		if !math.IsInf(tu, 0) {
+			scale += math.Abs(tu)
+		}
+	}
+	margin := 1e-6*rmax + 1e-9*(scale+math.Abs(b))
+	return b > hi+margin || b < lo-margin
+}
+
 // dualIterate runs the bounded-variable dual simplex with the exact costs:
-// starting from a dual-feasible basis it drives out primal infeasibilities
-// one leaving row at a time, preserving dual feasibility via the dual ratio
+// starting from a dual-feasible basis whose reduced costs are in s.d
+// (dualFeasible computes them) it drives out primal infeasibilities one
+// leaving row at a time, preserving dual feasibility via the dual ratio
 // test. Returns StatusOptimal once all basic variables are within bounds
 // (primal + dual feasible = optimal up to a final primal confirmation pass),
-// StatusInfeasible when a dual ray proves the primal empty, or
-// StatusIterLimit on iteration exhaustion, cancellation, or a stall — the
-// caller treats a stall as "fall back to a cold solve".
+// StatusInfeasible when a dual ray's certificate proves the primal empty
+// (farkasInfeasible), or StatusIterLimit on iteration exhaustion,
+// cancellation, a stall, or a ray that does not check out — the caller
+// treats the last two as "fall back to the primal method".
+//
+// Each pivot costs only the nonzeros it touches: the pivot row comes from
+// the rows of A where ρ = B⁻ᵀe_r is nonzero (pivotRow), and the reduced
+// costs are updated in place (dⱼ ← dⱼ − θ_D·αⱼ) rather than re-priced from
+// a fresh BTRAN of c_B; they are recomputed exactly at each
+// refactorization.
 //
 // Two refinements over the textbook method, both off under Options.Dantzig:
 //
@@ -602,10 +739,7 @@ func (s *simplex) dualIterate() Status {
 	stall := 0
 	maxStall := 200 + (s.m+s.n)/4
 	for {
-		if s.iters >= s.opt.MaxIters {
-			return StatusIterLimit
-		}
-		if s.opt.Cancel != nil && s.iters&63 == 0 && s.cancelled() {
+		if s.iters >= s.opt.MaxIters || s.cancelled() {
 			return StatusIterLimit
 		}
 		if s.f.numEtas >= s.opt.RefactorEvery {
@@ -615,6 +749,7 @@ func (s *simplex) dualIterate() Status {
 			if !classic {
 				s.resetDSE()
 			}
+			s.computeReducedCosts()
 		}
 
 		// Leaving row: the most primally infeasible basic variable, measured
@@ -645,7 +780,6 @@ func (s *simplex) dualIterate() Status {
 			return StatusOptimal // primal feasible
 		}
 		s.iters++
-		s.dualIters++
 
 		// Pivot row: ρ = B⁻ᵀ e_leave, α_j = aⱼᵀρ.
 		rho := s.bufR
@@ -654,16 +788,7 @@ func (s *simplex) dualIterate() Status {
 		}
 		rho[leave] = 1
 		s.f.btran(rho)
-
-		// Reduced costs need y = B⁻ᵀ c_B as well.
-		y := s.bufY
-		for i := range y {
-			y[i] = 0
-		}
-		for i := 0; i < s.m; i++ {
-			y[i] = s.cost[s.basis[i]]
-		}
-		s.f.btran(y)
+		cols := s.pivotRow(rho)
 
 		// Basic variable leaves at the violated bound. Moving it toward that
 		// bound requires the entering nonbasic to move in a direction that
@@ -673,12 +798,13 @@ func (s *simplex) dualIterate() Status {
 		// eligible candidate with its dual breakpoint.
 		needInc := leaveAt == statAtLower // basic below lower: must increase
 		cands := s.cands[:0]
-		for j := 0; j < s.total; j++ {
+		for _, cj := range cols {
+			j := int(cj)
 			st := s.stat[j]
 			if st == statBasic || s.fixed(j) {
 				continue
 			}
-			alpha := s.colDot(j, rho)
+			alpha := s.alpha[j]
 			if math.Abs(alpha) < pivTol {
 				continue
 			}
@@ -695,14 +821,20 @@ func (s *simplex) dualIterate() Status {
 				// Either direction available; always eligible, and with a
 				// near-zero reduced cost a free variable wins the ratio test.
 			}
-			d := s.cost[j] - s.colDot(j, y)
-			cands = append(cands, dualCand{j: int32(j), alpha: alpha, ratio: math.Abs(d) / math.Abs(alpha)})
+			cands = append(cands, dualCand{j: cj, alpha: alpha, ratio: math.Abs(s.d[j]) / math.Abs(alpha)})
 		}
 		s.cands = cands
 		if len(cands) == 0 {
-			// No entering candidate: the dual is unbounded along this row,
-			// so the primal is infeasible.
-			return StatusInfeasible
+			// No entering candidate: the dual is unbounded along this row.
+			// Candidates with tiny |αⱼ| were skipped, so the ray proves the
+			// primal empty only if its exact range check agrees; otherwise
+			// report a breakdown and let the primal decide.
+			infeasible := s.farkasInfeasible(rho, cols)
+			s.clearPivotRow(cols)
+			if infeasible {
+				return StatusInfeasible
+			}
+			return StatusIterLimit
 		}
 
 		// Signed violation of the leaving basic variable.
@@ -739,6 +871,7 @@ func (s *simplex) dualIterate() Status {
 				// The flips alone can (numerically) restore this row to its
 				// bounds; the basis is unchanged, so simply re-price.
 				if math.Abs(e) <= tol {
+					s.clearPivotRow(cols)
 					continue
 				}
 			}
@@ -746,11 +879,25 @@ func (s *simplex) dualIterate() Status {
 		if qRatio <= 1e-12 {
 			stall++
 			if stall > maxStall {
+				s.clearPivotRow(cols)
 				return StatusIterLimit
 			}
 		} else {
 			stall = 0
 		}
+
+		// Dual step: every nonbasic reduced cost moves along the pivot row,
+		// dⱼ ← dⱼ − θ_D·αⱼ with θ_D = d_q/α_q; the entering column's drops
+		// to 0 and the leaving column (α = 1) takes −θ_D.
+		thetaD := s.d[q] / qAlpha
+		for _, j := range cols {
+			if s.stat[j] != statBasic {
+				s.d[j] -= thetaD * s.alpha[j]
+			}
+		}
+		s.clearPivotRow(cols)
+		s.d[q] = 0
+		s.d[jb] = -thetaD
 
 		// Step: the entering variable moves until xB[leave] reaches its bound.
 		// The sign of delta matches the allowed direction by the eligibility
@@ -817,6 +964,7 @@ func (s *simplex) dualIterate() Status {
 			if !s.refactorAndRecompute() {
 				return StatusIterLimit
 			}
+			s.computeReducedCosts()
 		}
 	}
 }
@@ -994,15 +1142,8 @@ func (s *simplex) iterate() Status {
 	tol := s.opt.Tol
 	s.resetDevex()
 	for {
-		if s.iters >= s.opt.MaxIters {
+		if s.iters >= s.opt.MaxIters || s.cancelled() {
 			return StatusIterLimit
-		}
-		if s.opt.Cancel != nil && s.iters&63 == 0 {
-			select {
-			case <-s.opt.Cancel:
-				return StatusIterLimit
-			default:
-			}
 		}
 		s.iters++
 		if s.f.numEtas >= s.opt.RefactorEvery {

@@ -11,7 +11,7 @@
 // Features: most-fractional branching, best-bound node selection with
 // depth-first diving ties, dual-simplex warm starts (every node inherits its
 // parent's optimal basis, so reoptimization after a branching bound change
-// takes a handful of pivots instead of a cold two-phase solve), parallel
+// takes a handful of pivots instead of a cold solve), parallel
 // tree search (Options.Threads workers share the best-bound heap, each
 // owning a cloned working problem), incumbent seeding, a user-pluggable
 // rounding heuristic (Checkmate plugs in its two-phase LP rounding),
@@ -74,12 +74,15 @@ func (s Status) String() string {
 // Counters aggregates solver performance statistics across one solve.
 type Counters struct {
 	// SimplexIters is the total simplex iterations over every node
-	// relaxation LP (primal and dual); DualIters is the dual-simplex share
-	// of that total. Strong-branching probe LPs are accounted separately in
-	// ProbeIters so per-node reoptimization cost stays comparable across
-	// branching rules.
-	SimplexIters int64
-	DualIters    int64
+	// relaxation LP (primal and dual); DualIters is the share the dual
+	// simplex spent reoptimizing inherited (warm) bases, and DualStartIters
+	// the share it spent from cold slack bases (the root LP, and node LPs
+	// whose warm start fell back). Strong-branching probe LPs are accounted
+	// separately in ProbeIters so per-node reoptimization cost stays
+	// comparable across branching rules.
+	SimplexIters   int64
+	DualIters      int64
+	DualStartIters int64
 	// ProbeIters is the total simplex iterations spent in strong-branching
 	// probe LPs (pseudo-cost reliability initialization).
 	ProbeIters int64
@@ -123,6 +126,7 @@ type Counters struct {
 func (c *Counters) add(o *Counters) {
 	c.SimplexIters += o.SimplexIters
 	c.DualIters += o.DualIters
+	c.DualStartIters += o.DualStartIters
 	c.ProbeIters += o.ProbeIters
 	c.RootIters += o.RootIters
 	c.BoundFlips += o.BoundFlips
@@ -217,7 +221,7 @@ type Options struct {
 	// fast path, where consecutive solves differ only in one RHS value.
 	RootBasis *lp.Basis
 	// ColdStart disables all warm starting (node basis inheritance and
-	// RootBasis), forcing a cold two-phase LP solve at every node. For
+	// RootBasis), forcing a cold LP solve at every node. For
 	// benchmarks and ablation only.
 	ColdStart bool
 	// Branch selects the branching-variable rule (default BranchPseudoCost).
@@ -734,11 +738,13 @@ func (s *search) expand(ws *workerState, nd *node) {
 	}
 	sol := ws.solver.Solve(work, lpopt)
 	rootSpan.SetAttr("iters", sol.Iters)
+	rootSpan.SetAttr("dual_start_iters", sol.DualStartIters)
 	rootSpan.SetAttr("status", sol.Status.String())
 	rootSpan.End()
 
 	wctr.SimplexIters += int64(sol.Iters)
 	wctr.DualIters += int64(sol.DualIters)
+	wctr.DualStartIters += int64(sol.DualStartIters)
 	wctr.BoundFlips += int64(sol.BoundFlips)
 	wctr.PricingUpdates += int64(sol.PricingUpdates)
 	if sol.Status != lp.StatusInfeasible && sol.Phase1Iters == 0 {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/checkmate"
+	"repro/internal/faultinject"
 	"repro/internal/schedule"
 	"repro/internal/service/api"
 )
@@ -40,6 +41,16 @@ func testServerCfg(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		srv.Close()
 	})
 	return srv, ts
+}
+
+// holdFirstNode arms the solver-worker hook so that the next
+// branch-and-bound node expansion sleeps for d before it runs. A test that
+// acts on an in-flight solve gets a solve that outlives that point by d,
+// however fast the solver is. Call the returned func to disarm.
+func holdFirstNode(d time.Duration) (restore func()) {
+	return faultinject.Enable(faultinject.NewInjector(map[faultinject.Point]faultinject.Rule{
+		faultinject.MILPWorker: {Latency: d, Count: 1},
+	}))
 }
 
 // chainSpec builds a linear training DAG of n unit-cost unit-memory nodes.
@@ -403,9 +414,10 @@ func TestModelsHealthzStats(t *testing.T) {
 // context and verifies the worker is reclaimed (the acceptance criterion of
 // the service issue).
 func TestSolveCancellation(t *testing.T) {
+	// Hold the solve at its root expansion so it is still running when the
+	// request is cancelled.
+	defer holdFirstNode(200 * time.Millisecond)()
 	srv, _ := testServer(t)
-	// A long chain makes the MILP large enough to outlive the cancellation
-	// point by a wide margin.
 	wl, err := buildTestWorkload(srv, chainSpec(48))
 	if err != nil {
 		t.Fatal(err)

@@ -180,8 +180,9 @@ func TestStreamCachedSolveSkipsStraightToDone(t *testing.T) {
 // mid-solve must release the solver worker (the hub cancels the flight when
 // its last watcher leaves).
 func TestStreamClientCancellationStopsSolve(t *testing.T) {
+	// Hold the solve at its root expansion so it outlives the disconnect.
+	defer holdFirstNode(200 * time.Millisecond)()
 	srv, ts := testServer(t)
-	// Large enough to outlive the cancellation point by a wide margin.
 	spec := chainSpec(48)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -297,6 +298,9 @@ func TestStreamAttachesToInFlightBlockingSolve(t *testing.T) {
 		// covered deterministically by TestKeyObserverResolvesHubPerEvent.
 		t.Skip("timing-sensitive solver integration; skipped under -short")
 	}
+	// Hold the solve at its root expansion so the stream attaches while it
+	// is still in flight.
+	defer holdFirstNode(200 * time.Millisecond)()
 	srv, ts := testServer(t)
 	spec := chainSpec(48)
 	const budget = 8
@@ -547,12 +551,14 @@ func TestStreamStaleLastEventID(t *testing.T) {
 // TestStreamHeartbeats: a quiet stretch of a long solve must carry SSE
 // keepalive comments so proxies and idle connections stay open.
 func TestStreamHeartbeats(t *testing.T) {
+	// Hold the solve at its root expansion so it far outlives a few
+	// heartbeat intervals; the client hangs up after observing them,
+	// abandoning the solve.
+	defer holdFirstNode(200 * time.Millisecond)()
 	_, ts := testServerCfg(t, Config{
 		Workers: 2, QueueCap: 16, CacheCap: 32,
 		DefaultTimeLimit: 20 * time.Second, StreamHeartbeat: 10 * time.Millisecond,
 	})
-	// Big enough that the solve far outlives a few heartbeat intervals;
-	// the client hangs up after observing them, abandoning the solve.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // factor maintains an LU factorization of the simplex basis matrix B plus a
@@ -61,7 +62,15 @@ type factor struct {
 	work2 []float64
 	work3 []float64
 
-	// Scratch for the Gilbert-Peierls symbolic reach.
+	// Hypersparse solves (ftranSparse, btranSparse): a position-space
+	// scratch kept zeroed between uses, the heap that orders the U solve,
+	// and the pattern size past which a solve finishes with the dense sweep.
+	sparse    []float64
+	heap      []int32
+	sparseMax int
+
+	// Marks shared by the Gilbert-Peierls symbolic reach and the sparse
+	// solves' pattern bookkeeping: entry i is marked iff seen[i] == epoch.
 	seen    []int32
 	epoch   int32
 	reach   []int32
@@ -101,6 +110,8 @@ func newFactor(m int) *factor {
 		work:      make([]float64, m),
 		work2:     make([]float64, m),
 		work3:     make([]float64, m),
+		sparse:    make([]float64, m),
+		sparseMax: m / 16,
 		seen:      make([]int32, m),
 		reach:     make([]int32, 0, m),
 		dfs:       make([]int32, 0, 64),
@@ -423,11 +434,32 @@ func (f *factor) transposeU() {
 	ptr[0] = 0
 }
 
+// nextEpoch starts a fresh set of marks in f.seen and returns its stamp.
+func (f *factor) nextEpoch() int32 {
+	if f.epoch == math.MaxInt32 {
+		for i := range f.seen {
+			f.seen[i] = 0
+		}
+		f.epoch = 0
+	}
+	f.epoch++
+	return f.epoch
+}
+
+// mark adds i to the pattern pat unless the current epoch already marked it.
+func (f *factor) mark(pat []int32, i int32) []int32 {
+	if f.seen[i] != f.epoch {
+		f.seen[i] = f.epoch
+		pat = append(pat, i)
+	}
+	return pat
+}
+
 // computeReach finds every already-factored pivot column whose elimination
 // can touch the given column pattern, in elimination order (reverse DFS
 // postorder) — the symbolic phase of Gilbert-Peierls.
 func (f *factor) computeReach(rows []int32) []int32 {
-	f.epoch++
+	f.nextEpoch()
 	f.reach = f.reach[:0]
 	for _, r := range rows {
 		t := f.rowPos[r]
@@ -483,7 +515,18 @@ func (f *factor) ftran(buf []float64) {
 	for t := 0; t < m; t++ {
 		y[t] = buf[f.pivRow[t]]
 	}
-	for k := m - 1; k >= 0; k-- {
+	f.usolve(y, m-1)
+	// Scatter from processing order to slot order.
+	for pos := 0; pos < m; pos++ {
+		buf[f.slotOfPos[pos]] = y[pos]
+	}
+	f.applyEtas(buf)
+}
+
+// usolve runs U's backward solve in place on y (processing order) over the
+// positions from, from−1, …, 0, skipping zero multipliers.
+func (f *factor) usolve(y []float64, from int) {
+	for k := from; k >= 0; k-- {
 		if y[k] == 0 {
 			continue
 		}
@@ -494,11 +537,10 @@ func (f *factor) ftran(buf []float64) {
 			y[t] -= uv[s] * xk
 		}
 	}
-	// Scatter from processing order to slot order.
-	for pos := 0; pos < m; pos++ {
-		buf[f.slotOfPos[pos]] = y[pos]
-	}
-	// Apply etas (slot space) in order.
+}
+
+// applyEtas applies the eta file (slot space) in order.
+func (f *factor) applyEtas(buf []float64) {
 	for e := 0; e < f.numEtas; e++ {
 		p := f.etaP[e]
 		xp := buf[p] / f.etaPiv[e]
@@ -530,42 +572,299 @@ func (f *factor) btran(buf []float64) {
 	for pos := 0; pos < m; pos++ {
 		c[pos] = buf[f.slotOfPos[pos]]
 	}
-	// Solve Uᵀ z = c forward (z processing indexed), scattering each
-	// nonzero zₜ into the later entries of c along U's row t.
-	z := f.work2
+	f.utsolve(c, 0)
 	for t := 0; t < m; t++ {
+		buf[f.pivRow[t]] = c[t]
+	}
+	f.ltsolve(buf)
+}
+
+// utsolve solves Uᵀ z = c forward in place (processing order) over the
+// positions from, from+1, …, m−1, scattering each nonzero zₜ into the later
+// entries of c along U's row t.
+func (f *factor) utsolve(c []float64, from int) {
+	for t := from; t < f.m; t++ {
 		v := c[t]
 		if v == 0 {
-			z[t] = 0
+			c[t] = 0
 			continue
 		}
 		v /= f.uDiag[t]
-		z[t] = v
+		c[t] = v
 		for s := f.urPtr[t]; s < f.urPtr[t+1]; s++ {
 			c[f.urIdx[s]] -= f.urVal[s] * v
 		}
 	}
-	// Solve Lᵀ y = z backward, y original-row indexed, into buf: scatter z,
-	// then correct the entries of the positions with L columns.
-	for t := 0; t < m; t++ {
-		buf[f.pivRow[t]] = z[t]
-	}
+}
+
+// ltsolve solves Lᵀ y = z backward in place, y and z original-row indexed:
+// only the entries of the positions with L columns change.
+func (f *factor) ltsolve(buf []float64) {
 	for k := len(f.lCols) - 1; k >= 0; k-- {
 		t := f.lCols[k]
-		v := buf[f.pivRow[t]]
-		li, lv := f.lIdx[t], f.lVal[t]
-		for s, r := range li {
-			v -= lv[s] * buf[r]
-		}
-		buf[f.pivRow[t]] = v
+		buf[f.pivRow[t]] = f.ltDot(t, buf)
 	}
 }
 
+// ltDot returns position t's entry of the Lᵀ solve: its row's value less
+// L column t's entries times the rows they sit in.
+func (f *factor) ltDot(t int32, buf []float64) float64 {
+	v := buf[f.pivRow[t]]
+	li, lv := f.lIdx[t], f.lVal[t]
+	for s, r := range li {
+		v -= lv[s] * buf[r]
+	}
+	return v
+}
+
+// ftranSparse is ftran for a right-hand side that is zero outside the rows
+// listed in in (duplicates allowed). It appends to out[:0] the slots where
+// the result may be nonzero and returns that pattern, unordered. The L
+// solve runs over L's few columns as in ftran; the U solve visits only the
+// pattern, in the dense sweep's descending position order by a heap, until
+// the pattern passes sparseMax entries, where it finishes with the dense
+// sweep. Every entry receives the same updates in the same order as in
+// ftran, so the result is bitwise the same.
+func (f *factor) ftranSparse(buf []float64, in, out []int32) []int32 {
+	f.nextEpoch()
+	pat := out[:0]
+	for _, r := range in {
+		pat = f.mark(pat, r)
+	}
+	for _, t := range f.lCols {
+		if v := buf[f.pivRow[t]]; v != 0 {
+			li, lv := f.lIdx[t], f.lVal[t]
+			for s, r := range li {
+				buf[r] -= lv[s] * v
+				pat = f.mark(pat, r)
+			}
+		}
+	}
+	// Rows to positions; buf is left zero.
+	y := f.sparse
+	f.nextEpoch()
+	for k, r := range pat {
+		t := f.rowPos[r]
+		y[t], buf[r] = buf[r], 0
+		pat[k] = t
+		f.seen[t] = f.epoch
+	}
+	dense := int32(-1) // where the dense sweep takes over, if it does
+	h := f.heap[:0]
+	if len(pat) > f.sparseMax {
+		dense = int32(f.m - 1)
+	} else {
+		for _, t := range pat {
+			h = heapPush(h, ^t) // complemented: a max-heap of positions
+		}
+	}
+	for len(h) > 0 {
+		var k int32
+		k, h = heapPop(h)
+		k = ^k
+		if y[k] == 0 {
+			continue
+		}
+		xk := y[k] / f.uDiag[k]
+		y[k] = xk
+		ui, uv := f.uIdx[k], f.uVal[k]
+		for s, t := range ui {
+			y[t] -= uv[s] * xk
+			if f.seen[t] != f.epoch {
+				f.seen[t] = f.epoch
+				pat = append(pat, t)
+				h = heapPush(h, ^t)
+			}
+		}
+		if len(pat) > f.sparseMax {
+			dense, h = k-1, h[:0]
+		}
+	}
+	f.heap = h
+	if dense >= 0 {
+		f.usolve(y, int(dense))
+		for pos := 0; pos < f.m; pos++ {
+			buf[f.slotOfPos[pos]], y[pos] = y[pos], 0
+		}
+		f.applyEtas(buf)
+		return nonzeros(buf[:f.m], pat[:0])
+	}
+	// Positions to slots, then the eta file.
+	f.nextEpoch()
+	for k, t := range pat {
+		sl := f.slotOfPos[t]
+		buf[sl], y[t] = y[t], 0
+		pat[k] = sl
+		f.seen[sl] = f.epoch
+	}
+	for e := 0; e < f.numEtas; e++ {
+		p := f.etaP[e]
+		xp := buf[p] / f.etaPiv[e]
+		if xp != 0 {
+			ei, ev := f.etaIdx[e], f.etaVal[e]
+			for s, i := range ei {
+				buf[i] -= ev[s] * xp
+				pat = f.mark(pat, i)
+			}
+		}
+		buf[p] = xp
+		if math.Float64bits(xp) != 0 {
+			pat = f.mark(pat, p)
+		}
+	}
+	return pat
+}
+
+// btranSparse is btran for a right-hand side that is zero outside the slots
+// listed in in (duplicates allowed). It appends to out[:0] the rows where
+// the result may be nonzero and returns that pattern in ascending order.
+// The Uᵀ solve visits only the pattern, in the dense sweep's ascending
+// position order by a heap over the row-wise copy of U, until the pattern
+// passes sparseMax entries, where it finishes with the dense sweep. The
+// result is bitwise the same as btran's.
+func (f *factor) btranSparse(buf []float64, in, out []int32) []int32 {
+	f.nextEpoch()
+	pat := out[:0]
+	for _, sl := range in {
+		pat = f.mark(pat, sl)
+	}
+	for e := f.numEtas - 1; e >= 0; e-- {
+		p := f.etaP[e]
+		cp := buf[p]
+		ei, ev := f.etaIdx[e], f.etaVal[e]
+		for s, i := range ei {
+			cp -= ev[s] * buf[i]
+		}
+		buf[p] = cp / f.etaPiv[e]
+		if math.Float64bits(buf[p]) != 0 {
+			pat = f.mark(pat, p)
+		}
+	}
+	// Slots to positions; buf is left zero.
+	c := f.sparse
+	f.nextEpoch()
+	for k, sl := range pat {
+		t := f.posOfSlot[sl]
+		c[t], buf[sl] = buf[sl], 0
+		pat[k] = t
+		f.seen[t] = f.epoch
+	}
+	dense := int32(-1)
+	h := f.heap[:0]
+	if len(pat) > f.sparseMax {
+		dense = 0
+	} else {
+		for _, t := range pat {
+			h = heapPush(h, t)
+		}
+	}
+	for len(h) > 0 {
+		var t int32
+		t, h = heapPop(h)
+		v := c[t]
+		if v == 0 {
+			c[t] = 0
+			continue
+		}
+		v /= f.uDiag[t]
+		c[t] = v
+		for s := f.urPtr[t]; s < f.urPtr[t+1]; s++ {
+			k := f.urIdx[s]
+			c[k] -= f.urVal[s] * v
+			if f.seen[k] != f.epoch {
+				f.seen[k] = f.epoch
+				pat = append(pat, k)
+				h = heapPush(h, k)
+			}
+		}
+		if len(pat) > f.sparseMax {
+			dense, h = t+1, h[:0]
+		}
+	}
+	f.heap = h
+	if dense >= 0 {
+		f.utsolve(c, int(dense))
+		for t := 0; t < f.m; t++ {
+			buf[f.pivRow[t]], c[t] = c[t], 0
+		}
+		f.ltsolve(buf)
+		return nonzeros(buf[:f.m], pat[:0])
+	}
+	// Positions to rows, then Lᵀ.
+	f.nextEpoch()
+	for k, t := range pat {
+		r := f.pivRow[t]
+		buf[r], c[t] = c[t], 0
+		pat[k] = r
+		f.seen[r] = f.epoch
+	}
+	for k := len(f.lCols) - 1; k >= 0; k-- {
+		r := f.pivRow[f.lCols[k]]
+		v := f.ltDot(f.lCols[k], buf)
+		buf[r] = v
+		if math.Float64bits(v) != 0 {
+			pat = f.mark(pat, r)
+		}
+	}
+	slices.Sort(pat)
+	return pat
+}
+
+// nonzeros appends to pat the indices of w's entries that are not +0, in
+// ascending order.
+func nonzeros(w []float64, pat []int32) []int32 {
+	for i, v := range w {
+		if math.Float64bits(v) != 0 {
+			pat = append(pat, int32(i))
+		}
+	}
+	return pat
+}
+
+// heapPush adds v to the binary min-heap h.
+func heapPush(h []int32, v int32) []int32 {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up] <= h[i] {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	return h
+}
+
+// heapPop removes the minimum of the binary min-heap h.
+func heapPop(h []int32) (int32, []int32) {
+	v := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return v, h
+}
+
 // pushEta records the basis change where the column with FTRAN image w
-// (slot indexed, dense) replaces the basis variable at slot p. Returns false
-// if the pivot element is too small for a stable update. Eta entries beyond
-// numEtas left over from earlier factorizations are recycled in place.
-func (f *factor) pushEta(p int, w []float64) bool {
+// (slot indexed, nonzero only in the ascending slot list pat) replaces the
+// basis variable at slot p. The eta keeps pat's order, which btran sums in.
+// Returns false if the pivot element is too small for a stable update. Eta
+// entries beyond numEtas left over from earlier factorizations are recycled
+// in place.
+func (f *factor) pushEta(p int, w []float64, pat []int32) bool {
 	piv := w[p]
 	if math.Abs(piv) < 1e-9 {
 		return false
@@ -576,9 +875,9 @@ func (f *factor) pushEta(p int, w []float64) bool {
 	if e < len(f.etaIdx) {
 		idx, val = f.etaIdx[e][:0], f.etaVal[e][:0]
 	}
-	for i, v := range w[:f.m] {
-		if i != p && v != 0 {
-			idx = append(idx, int32(i))
+	for _, i := range pat {
+		if v := w[i]; int(i) != p && v != 0 {
+			idx = append(idx, i)
 			val = append(val, v)
 		}
 	}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -46,7 +47,23 @@ type simplex struct {
 	bufA []float64 // dense rhs accumulation
 	bufR []float64 // BTRAN of the pivot unit vector (devex / DSE row)
 	bufT []float64 // FTRAN of the pivot row (DSE weight update)
+	bufF []float64 // FTRAN of the bound flips, kept zeroed between uses
 	pbuf []float64 // perturbed phase-2 costs
+
+	// Dual pivot patterns: where ρ (rows), w and τ (slots) and the bound
+	// flips' FTRAN (flipIn in, flipPat out) may be nonzero. Each buffer is
+	// zero outside its pattern, so a pivot clears only what it touched.
+	rhoPat, wPat, tauPat []int32
+	flipIn, flipPat      []int32
+	// The basis positions that may be primal-infeasible by more than
+	// rowTol (onInfeas marks them): the dual simplex's leaving-row
+	// candidates, kept up to date wherever a basic value moves.
+	infeas   []int32
+	onInfeas []bool
+	rowTol   float64
+	// onPivot, when set, sees every dual pivot's leaving position and
+	// entering column (tests compare pivot sequences with it).
+	onPivot func(leave, enter int)
 
 	// Devex reference weights (one per column); reset to 1 when the
 	// reference framework is rebuilt.
@@ -114,6 +131,8 @@ func newSimplex(p *Problem, opt Options) *simplex {
 	s.bufA = make([]float64, m)
 	s.bufR = make([]float64, m)
 	s.bufT = make([]float64, m)
+	s.bufF = make([]float64, m)
+	s.onInfeas = make([]bool, m)
 	s.devex = make([]float64, s.total)
 	s.dse = make([]float64, m)
 	s.d = make([]float64, n+m)
@@ -629,9 +648,14 @@ func (s *simplex) dualFeasible(tol float64) bool {
 // columns it touched (every other αⱼ is 0). Artificial columns are left out:
 // they are fixed at zero whenever the dual simplex runs. clearPivotRow
 // resets the scratch for the next pivot.
-func (s *simplex) pivotRow(rho []float64) []int32 {
+func (s *simplex) pivotRow(rho []float64) []int32 { return s.pivotRowOver(rho, s.ident) }
+
+// pivotRowOver is pivotRow for a ρ that is zero outside rows, which must be
+// ascending: the αⱼ sums and the order of the returned columns follow it.
+func (s *simplex) pivotRowOver(rho []float64, rows []int32) []int32 {
 	cols := s.rowCols[:0]
-	for i, r := range rho[:s.m] {
+	for _, i := range rows {
+		r := rho[i]
 		if r == 0 {
 			continue
 		}
@@ -643,7 +667,7 @@ func (s *simplex) pivotRow(rho []float64) []int32 {
 			}
 			s.alpha[j] += r * vals[k]
 		}
-		sl := int32(s.n + i)
+		sl := int32(s.n) + i
 		s.inRow[sl] = true
 		s.alpha[sl] = r
 		cols = append(cols, sl)
@@ -738,6 +762,14 @@ func (s *simplex) dualIterate() Status {
 	// always available, so bail out after a bounded run.
 	stall := 0
 	maxStall := 200 + (s.m+s.n)/4
+	// Every buffer starts zero with an empty pattern: a primal pass of an
+	// earlier solve on this engine leaves bufW, bufR and bufT dense.
+	for _, buf := range [][]float64{s.bufR, s.bufW, s.bufT, s.bufF} {
+		clear(buf)
+	}
+	s.rhoPat, s.wPat, s.tauPat = s.rhoPat[:0], s.wPat[:0], s.tauPat[:0]
+	s.rowTol = tol
+	s.listInfeasible()
 	for {
 		if s.iters >= s.opt.MaxIters || s.cancelled() {
 			return StatusIterLimit
@@ -750,32 +782,10 @@ func (s *simplex) dualIterate() Status {
 				s.resetDSE()
 			}
 			s.computeReducedCosts()
+			s.listInfeasible()
 		}
 
-		// Leaving row: the most primally infeasible basic variable, measured
-		// through the steepest-edge reference weights unless classic rules
-		// were requested.
-		leave, best := -1, 0.0
-		var leaveAt int8
-		for i := 0; i < s.m; i++ {
-			j := s.basis[i]
-			var viol float64
-			var at int8
-			if d := s.lower[j] - s.xB[i]; d > tol {
-				viol, at = d, statAtLower
-			} else if d := s.xB[i] - s.upper[j]; d > tol {
-				viol, at = d, statAtUpper
-			} else {
-				continue
-			}
-			score := viol
-			if !classic {
-				score = viol * viol / s.dse[i]
-			}
-			if score > best {
-				leave, best, leaveAt = i, score, at
-			}
-		}
+		leave, leaveAt := s.leavingRow(classic)
 		if leave < 0 {
 			return StatusOptimal // primal feasible
 		}
@@ -783,12 +793,12 @@ func (s *simplex) dualIterate() Status {
 
 		// Pivot row: ρ = B⁻ᵀ e_leave, α_j = aⱼᵀρ.
 		rho := s.bufR
-		for i := range rho {
+		for _, i := range s.rhoPat {
 			rho[i] = 0
 		}
 		rho[leave] = 1
-		s.f.btran(rho)
-		cols := s.pivotRow(rho)
+		s.rhoPat = s.f.btranSparse(rho, s.ident[leave:leave+1], s.rhoPat)
+		cols := s.pivotRowOver(rho, s.rhoPat)
 
 		// Basic variable leaves at the violated bound. Moving it toward that
 		// bound requires the entering nonbasic to move in a direction that
@@ -876,6 +886,9 @@ func (s *simplex) dualIterate() Status {
 				}
 			}
 		}
+		if s.onPivot != nil {
+			s.onPivot(leave, q)
+		}
 		if qRatio <= 1e-12 {
 			stall++
 			if stall > maxStall {
@@ -904,13 +917,14 @@ func (s *simplex) dualIterate() Status {
 		// test above.
 		delta := e / qAlpha
 
-		// FTRAN the entering column to update the basic values.
+		// FTRAN the entering column to update the basic values. The eta
+		// keeps w's entries in ascending slot order, as a dense scan would.
 		w := s.bufW
-		for i := range w {
+		for _, i := range s.wPat {
 			w[i] = 0
 		}
-		s.scatterCol(q, w)
-		s.f.ftran(w)
+		s.wPat = s.f.ftranSparse(w, s.scatterCol(q, w), s.wPat)
+		slices.Sort(s.wPat)
 
 		// Forrest–Goldfarb weight update, before the eta is pushed (the τ
 		// FTRAN must use the pre-pivot basis): β_r ← β_r/α_r²,
@@ -918,16 +932,21 @@ func (s *simplex) dualIterate() Status {
 		// τ = B⁻¹ρ.
 		if !classic {
 			tau := s.bufT
-			copy(tau, rho)
-			s.f.ftran(tau)
+			for _, i := range s.tauPat {
+				tau[i] = 0
+			}
+			for _, i := range s.rhoPat {
+				tau[i] = rho[i]
+			}
+			s.tauPat = s.f.ftranSparse(tau, s.rhoPat, s.tauPat)
 			ar := w[leave]
 			if math.Abs(ar) > pivTol {
 				br := s.dse[leave]
 				if br < 1e-10 {
 					br = 1e-10
 				}
-				for i := 0; i < s.m; i++ {
-					if i == leave || w[i] == 0 {
+				for _, i := range s.wPat {
+					if int(i) == leave || w[i] == 0 {
 						continue
 					}
 					k := w[i] / ar
@@ -951,21 +970,79 @@ func (s *simplex) dualIterate() Status {
 		}
 
 		enterVal := s.nonbasicValue(q) + delta
-		for i := 0; i < s.m; i++ {
+		for _, i := range s.wPat {
 			if w[i] != 0 {
 				s.xB[i] -= w[i] * delta
+				s.noteInfeasible(i)
 			}
 		}
 		s.stat[jb] = leaveAt
 		s.basis[leave] = int32(q)
 		s.stat[q] = statBasic
 		s.xB[leave] = enterVal
-		if !s.f.pushEta(leave, w) {
+		if !s.f.pushEta(leave, w, s.wPat) {
 			if !s.refactorAndRecompute() {
 				return StatusIterLimit
 			}
 			s.computeReducedCosts()
+			s.listInfeasible()
 		}
+	}
+}
+
+// leavingRow picks the dual simplex's leaving row: the most primally
+// infeasible basic variable, measured through the steepest-edge reference
+// weights unless classic rules were requested, the lowest position winning
+// ties as in an ascending scan. It scans only the infeasible-row list and
+// drops the rows that have become feasible. leave is -1 when none is left.
+func (s *simplex) leavingRow(classic bool) (leave int, at int8) {
+	leave, best := -1, 0.0
+	list := s.infeas[:0]
+	for _, i := range s.infeas {
+		j := s.basis[i]
+		var viol float64
+		var st int8
+		if d := s.lower[j] - s.xB[i]; d > s.rowTol {
+			viol, st = d, statAtLower
+		} else if d := s.xB[i] - s.upper[j]; d > s.rowTol {
+			viol, st = d, statAtUpper
+		} else {
+			s.onInfeas[i] = false
+			continue
+		}
+		list = append(list, i)
+		score := viol
+		if !classic {
+			score = viol * viol / s.dse[i]
+		}
+		//lint:floateq exact tie-break: equal scores go to the lowest position, as in an ascending scan
+		if score > best || (score == best && leave >= 0 && int(i) < leave) {
+			leave, best, at = int(i), score, st
+		}
+	}
+	s.infeas = list
+	return leave, at
+}
+
+// noteInfeasible puts basis position i on the infeasible-row list if its
+// basic value lies more than rowTol outside its bounds.
+func (s *simplex) noteInfeasible(i int32) {
+	if s.onInfeas[i] {
+		return
+	}
+	j := s.basis[i]
+	if s.lower[j]-s.xB[i] > s.rowTol || s.xB[i]-s.upper[j] > s.rowTol {
+		s.onInfeas[i] = true
+		s.infeas = append(s.infeas, i)
+	}
+}
+
+// listInfeasible rebuilds the infeasible-row list from every basic value.
+func (s *simplex) listInfeasible() {
+	s.infeas = s.infeas[:0]
+	clear(s.onInfeas)
+	for i := range s.ident {
+		s.noteInfeasible(int32(i))
 	}
 }
 
@@ -1013,10 +1090,8 @@ func (s *simplex) boundFlipRatioTest(cands []dualCand, leave int, remaining floa
 		nflip++
 	}
 	if nflip > 0 {
-		acc := s.bufA
-		for i := range acc {
-			acc[i] = 0
-		}
+		acc := s.bufF
+		in := s.flipIn[:0]
 		for k := 0; k < nflip; k++ {
 			c := cands[k]
 			j := int(c.j)
@@ -1028,13 +1103,16 @@ func (s *simplex) boundFlipRatioTest(cands []dualCand, leave int, remaining floa
 				dv = s.lower[j] - s.upper[j]
 				s.stat[j] = statAtLower
 			}
-			s.addColScaled(j, dv, acc)
+			in = append(in, s.addColScaled(j, dv, acc)...)
 		}
-		s.f.ftran(acc)
-		for i := 0; i < s.m; i++ {
+		s.flipIn = in
+		s.flipPat = s.f.ftranSparse(acc, in, s.flipPat)
+		for _, i := range s.flipPat {
 			if acc[i] != 0 {
 				s.xB[i] -= acc[i]
+				s.noteInfeasible(i)
 			}
+			acc[i] = 0
 		}
 		s.flips += nflip
 		flipped = true
@@ -1057,18 +1135,24 @@ func (b byRatio) Less(i, j int) bool {
 	return b[i].j < b[j].j
 }
 
-// addColScaled accumulates v·aⱼ into dense w (original-row indexed).
-func (s *simplex) addColScaled(j int, v float64, w []float64) {
+// addColScaled accumulates v·aⱼ into dense w (original-row indexed) and
+// returns the column's row list, a read-only view of engine-owned storage.
+func (s *simplex) addColScaled(j int, v float64, w []float64) []int32 {
 	switch {
 	case j < s.n:
-		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
+		lo, hi := s.colPtr[j], s.colPtr[j+1]
+		for k := lo; k < hi; k++ {
 			w[s.colRow[k]] += s.colVal[k] * v
 		}
+		return s.colRow[lo:hi]
 	case j < s.n+s.m:
-		w[j-s.n] += v
+		r := j - s.n
+		w[r] += v
+		return s.ident[r : r+1]
 	default:
 		r := j - s.n - s.m
 		w[r] += s.artSign[r] * v
+		return s.ident[r : r+1]
 	}
 }
 
@@ -1347,7 +1431,7 @@ func (s *simplex) iterate() Status {
 		s.basis[leave] = int32(q)
 		s.stat[q] = statBasic
 		s.xB[leave] = enterVal
-		if !s.f.pushEta(leave, w) {
+		if !s.f.pushEta(leave, w, s.ident) {
 			if !s.refactorAndRecompute() {
 				return StatusIterLimit
 			}

@@ -52,3 +52,48 @@ func TestZooRootLPsDualStart(t *testing.T) {
 		}
 	}
 }
+
+// TestZooRootsSparseSolvesBitwise: the pattern-driven FTRAN and BTRAN change
+// only speed. On three zoo roots, keeping every solve sparse, switching to
+// the dense sweep at the default m/16, and always sweeping densely take the
+// same dual pivots to the same objective bits; and at each root's optimal
+// basis, grown by an eta file, the sparse solves return the dense ones'
+// bits.
+func TestZooRootsSparseSolvesBitwise(t *testing.T) {
+	for _, model := range []string{"vgg16", "unet", "transformer"} {
+		wl, err := checkmate.Load(model, checkmate.Options{Batch: 4, CoarseSegments: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := wl.MinBudget(), wl.CheckpointAllPeak()
+		inst := core.Instance{G: wl.Graph, Budget: lo + int64(0.3*float64(hi-lo)), Overhead: wl.Overhead}
+		f, err := core.Build(inst, core.BuildOptions{FrontierAdvancing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := f.Prob.LP
+		ref, refSeq := lp.DualPivots(p, -1)
+		if ref.Status != lp.StatusOptimal || len(refSeq) == 0 {
+			t.Fatalf("%s: %v after %d dual pivots", model, ref.Status, len(refSeq))
+		}
+		for _, limit := range []int{0, p.NumRows()} {
+			got, seq := lp.DualPivots(p, limit)
+			if got.Status != ref.Status || got.Iters != ref.Iters || math.Float64bits(got.Obj) != math.Float64bits(ref.Obj) {
+				t.Fatalf("%s limit %d: %v in %d iterations, obj %x; default limit %v in %d, obj %x",
+					model, limit, got.Status, got.Iters, math.Float64bits(got.Obj), ref.Status, ref.Iters, math.Float64bits(ref.Obj))
+			}
+			if len(seq) != len(refSeq) {
+				t.Fatalf("%s limit %d: %d dual pivots, default limit %d", model, limit, len(seq), len(refSeq))
+			}
+			for k := range seq {
+				if seq[k] != refSeq[k] {
+					t.Fatalf("%s limit %d: pivot %d is (leave, enter) %v, default limit %v", model, limit, k, seq[k], refSeq[k])
+				}
+			}
+		}
+		if err := lp.SparseSolvesMatchDense(p, ref.Basis, 1); err != nil {
+			t.Errorf("%s: %v", model, err)
+		}
+		t.Logf("%s: %d dual pivots, m=%d", model, len(refSeq), p.NumRows())
+	}
+}

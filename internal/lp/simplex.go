@@ -545,9 +545,10 @@ func (s *simplex) primal(skipPerturb bool) *Solution {
 // dualStart runs the dual simplex from the installed basis when that basis
 // is primal-infeasible but dual-feasible within dtol, adding its pivots to
 // *count. done reports that it reached a basis within tol of primal
-// feasibility. final is non-nil when the solve ends here: a verified dual
-// ray proved the problem infeasible, or the iteration limit or cancellation
-// cut it. Otherwise — not applicable, stalled, or numerically stuck — the
+// feasibility, both per row and summed over the rows (the primal's phase-1
+// trigger). final is non-nil when the solve ends here: a verified dual ray
+// proved the problem infeasible, or the iteration limit or cancellation cut
+// it. Otherwise — not applicable, stalled, or numerically stuck — the
 // caller continues with the primal method.
 func (s *simplex) dualStart(dtol float64, count *int) (done bool, final *Solution) {
 	tol := s.opt.Tol
@@ -555,12 +556,24 @@ func (s *simplex) dualStart(dtol float64, count *int) (done bool, final *Solutio
 		return false, nil
 	}
 	before := s.iters
-	st := s.dualIterate()
+	st := s.dualIterate(tol)
+	if st == StatusOptimal && s.infeasibility() > tol {
+		// Every row is within tol but their sum is not: many rows each a
+		// little out of bounds. Refactor for exact basic values and, if the
+		// sum still exceeds tol, keep pivoting with a row threshold whose
+		// m-fold sum is tol, instead of discarding a finished dual solve.
+		st = StatusIterLimit
+		if s.refactorAndRecompute() {
+			st = StatusOptimal
+			if s.infeasibility() > tol {
+				s.computeReducedCosts()
+				st = s.dualIterate(tol / float64(s.m))
+			}
+		}
+	}
 	*count += s.iters - before
 	switch {
 	case st == StatusOptimal:
-		// The dual stops once each basic variable is within tol of its
-		// bounds; the summed residual must also clear the phase-1 trigger.
 		return s.infeasibility() <= tol, nil
 	case st == StatusInfeasible:
 		return false, s.finishSolution(&Solution{Status: StatusInfeasible})
@@ -725,18 +738,23 @@ func (s *simplex) farkasInfeasible(rho []float64, cols []int32) bool {
 // starting from a dual-feasible basis whose reduced costs are in s.d
 // (dualFeasible computes them) it drives out primal infeasibilities one
 // leaving row at a time, preserving dual feasibility via the dual ratio
-// test. Returns StatusOptimal once all basic variables are within bounds
-// (primal + dual feasible = optimal up to a final primal confirmation pass),
+// test. Returns StatusOptimal once every basic variable is within rowTol of
+// its bounds (primal + dual feasible = optimal up to a final primal
+// confirmation pass),
 // StatusInfeasible when a dual ray's certificate proves the primal empty
 // (farkasInfeasible), or StatusIterLimit on iteration exhaustion,
 // cancellation, a stall, or a ray that does not check out — the caller
 // treats the last two as "fall back to the primal method".
 //
-// Each pivot costs only the nonzeros it touches: the pivot row comes from
-// the rows of A where ρ = B⁻ᵀe_r is nonzero (pivotRow), and the reduced
-// costs are updated in place (dⱼ ← dⱼ − θ_D·αⱼ) rather than re-priced from
-// a fresh BTRAN of c_B; they are recomputed exactly at each
-// refactorization.
+// Each pivot costs only the nonzeros it touches. ρ = B⁻ᵀe_r, the entering
+// column's w = B⁻¹a_q and τ = B⁻¹ρ come from the pattern-driven solves
+// (btranSparse, ftranSparse); the pivot row from the rows of A where ρ is
+// nonzero (pivotRowOver); the leaving row from a list of the infeasible
+// rows; the basic values, the steepest-edge weights and the new eta from
+// w's pattern. The reduced costs are updated in place (dⱼ ← dⱼ − θ_D·αⱼ)
+// rather than re-priced from a fresh BTRAN of c_B; they are recomputed
+// exactly at each refactorization. None of this changes a pivot: every
+// sum runs over the same terms in the same order as a dense pass would.
 //
 // Two refinements over the textbook method, both off under Options.Dantzig:
 //
@@ -750,8 +768,7 @@ func (s *simplex) farkasInfeasible(rho []float64, cols []int32) bool {
 //     remaining infeasibility would be exhausted. One pivot thus does the
 //     work of many on the 0/1-box Checkmate LPs where nearly every column
 //     is boxed.
-func (s *simplex) dualIterate() Status {
-	tol := s.opt.Tol
+func (s *simplex) dualIterate(rowTol float64) Status {
 	const pivTol = 1e-9
 	classic := s.opt.Dantzig
 	if !classic {
@@ -768,7 +785,7 @@ func (s *simplex) dualIterate() Status {
 		clear(buf)
 	}
 	s.rhoPat, s.wPat, s.tauPat = s.rhoPat[:0], s.wPat[:0], s.tauPat[:0]
-	s.rowTol = tol
+	s.rowTol = rowTol
 	s.listInfeasible()
 	for {
 		if s.iters >= s.opt.MaxIters || s.cancelled() {
@@ -880,7 +897,7 @@ func (s *simplex) dualIterate() Status {
 				}
 				// The flips alone can (numerically) restore this row to its
 				// bounds; the basis is unchanged, so simply re-price.
-				if math.Abs(e) <= tol {
+				if math.Abs(e) <= rowTol {
 					s.clearPivotRow(cols)
 					continue
 				}

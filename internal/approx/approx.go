@@ -126,15 +126,12 @@ func build(ctx context.Context, inst core.Instance) (*core.Formulation, error) {
 // solveAtEps runs one two-phase rounding at the given ε: it moves f to the
 // deflated budget, warm-starts the LP from a previous ε's basis when one is
 // offered, and returns the rounding plus the basis for the next point in the
-// chain.
+// chain. stats counts the LP whether or not it reached optimality.
 func solveAtEps(ctx context.Context, f *core.Formulation, inst core.Instance, opt Options, eps float64, warm *lp.Basis, stats *SearchStats) (*Result, *lp.Basis, error) {
 	ctx, span := telemetry.StartSpan(ctx, "eps_point", telemetry.A("eps", eps))
 	defer span.End()
 	f.SetBudget(int64(float64(inst.Budget) * (1 - eps)))
 	rel, err := f.Relax(ctx, warm)
-	if err != nil {
-		return nil, nil, fmt.Errorf("approx: %w", err)
-	}
 	if stats != nil {
 		stats.LPSolves++
 		if rel.Warm {
@@ -143,6 +140,9 @@ func solveAtEps(ctx context.Context, f *core.Formulation, inst core.Instance, op
 		stats.SimplexIters += int64(rel.Iters)
 		stats.DualIters += int64(rel.DualIters)
 		stats.DualStartIters += int64(rel.DualStartIters)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("approx: %w", err)
 	}
 	if opt.Randomized {
 		_, rspan := telemetry.StartSpan(ctx, "rounding", telemetry.A("samples", opt.Samples))
@@ -174,7 +174,14 @@ func SolveWithSearch(inst core.Instance, opt Options) (*Result, error) {
 // differ only in the budget rows' right-hand sides, so the basis stays
 // dual-feasible and reoptimizes in a few dual pivots instead of a cold
 // solve (the same chaining SweepILP applies to Figure 5 curves).
-// The returned Result's Search field records the chain's LP work.
+//
+// The sweep stops at the first ε whose LP is infeasible. The budget enters
+// the formulation only through the right-hand sides of its ≤ budget rows,
+// so a larger ε, a smaller budget, only shrinks the LP's feasible set: every
+// later LP would be infeasible too.
+//
+// The returned Result's Search field records the chain's LP work, the
+// infeasible LPs included.
 func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	f, err := build(ctx, inst)
@@ -203,6 +210,9 @@ func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*
 					return best, nil
 				}
 				return nil, fmt.Errorf("approx: search cancelled: %w", ctx.Err())
+			}
+			if errors.Is(err, core.ErrInfeasibleRelaxation) {
+				break
 			}
 			continue
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -279,6 +280,11 @@ func SolveRelaxationCtx(ctx context.Context, inst Instance, unpartitioned bool) 
 	return r.FS, r.Obj, nil
 }
 
+// ErrInfeasibleRelaxation reports an LP relaxation the simplex proved
+// infeasible: no fractional schedule fits the formulation's budget, so no
+// integral one does either.
+var ErrInfeasibleRelaxation = errors.New("core: LP relaxation: infeasible")
+
 // Relaxation is the outcome of one chained LP-relaxation solve.
 type Relaxation struct {
 	FS *FractionalSched
@@ -307,6 +313,11 @@ type Relaxation struct {
 // the formulation, so the chain reuses one engine and releases it with the
 // formulation rather than parking a model-sized engine in a shared pool;
 // Relax is therefore not safe for concurrent use on one formulation.
+//
+// When the LP does not reach optimality Relax returns an error —
+// ErrInfeasibleRelaxation for a proven-infeasible LP — together with a
+// Relaxation that reports only the solve's work (FS and Basis nil), so a
+// caller can account for every LP it ran.
 func (f *Formulation) Relax(ctx context.Context, warm *lp.Basis) (*Relaxation, error) {
 	_, span := telemetry.StartSpan(ctx, "lp_relax", telemetry.A("warm", warm != nil))
 	defer span.End()
@@ -317,21 +328,26 @@ func (f *Formulation) Relax(ctx context.Context, warm *lp.Basis) (*Relaxation, e
 	span.SetAttr("iters", sol.Iters)
 	span.SetAttr("dual_start_iters", sol.DualStartIters)
 	span.SetAttr("accepted_warm", sol.Warm)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: relaxation cancelled: %w", err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("core: LP relaxation: %v", sol.Status)
-	}
-	return &Relaxation{
-		FS:             f.ExtractFractional(sol.X),
-		Obj:            f.TrueCost(sol.Obj),
-		Basis:          sol.Basis,
+	rel := &Relaxation{
 		Iters:          sol.Iters,
 		DualIters:      sol.DualIters,
 		DualStartIters: sol.DualStartIters,
 		Warm:           sol.Warm,
-	}, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return rel, fmt.Errorf("core: relaxation cancelled: %w", err)
+	}
+	switch sol.Status {
+	case lp.StatusOptimal:
+	case lp.StatusInfeasible:
+		return rel, ErrInfeasibleRelaxation
+	default:
+		return rel, fmt.Errorf("core: LP relaxation: %v", sol.Status)
+	}
+	rel.FS = f.ExtractFractional(sol.X)
+	rel.Obj = f.TrueCost(sol.Obj)
+	rel.Basis = sol.Basis
+	return rel, nil
 }
 
 // RoundingHeuristic adapts the paper's two-phase rounding (Algorithm 2) into

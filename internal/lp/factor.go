@@ -434,16 +434,13 @@ func (f *factor) transposeU() {
 	ptr[0] = 0
 }
 
-// nextEpoch starts a fresh set of marks in f.seen and returns its stamp.
-func (f *factor) nextEpoch() int32 {
+// nextEpoch starts a fresh set of marks in f.seen.
+func (f *factor) nextEpoch() {
 	if f.epoch == math.MaxInt32 {
-		for i := range f.seen {
-			f.seen[i] = 0
-		}
+		clear(f.seen)
 		f.epoch = 0
 	}
 	f.epoch++
-	return f.epoch
 }
 
 // mark adds i to the pattern pat unless the current epoch already marked it.

@@ -276,24 +276,7 @@ func (s *simplex) perturbedCosts() []float64 {
 
 // scatterCol adds column j into dense w (original-row indexed) and returns
 // the nonzero row list, a read-only view of engine-owned storage.
-func (s *simplex) scatterCol(j int, w []float64) []int32 {
-	switch {
-	case j < s.n:
-		lo, hi := s.colPtr[j], s.colPtr[j+1]
-		for k := lo; k < hi; k++ {
-			w[s.colRow[k]] += s.colVal[k]
-		}
-		return s.colRow[lo:hi]
-	case j < s.n+s.m:
-		r := j - s.n
-		w[r] += 1
-		return s.ident[r : r+1]
-	default:
-		r := j - s.n - s.m
-		w[r] += s.artSign[r]
-		return s.ident[r : r+1]
-	}
-}
+func (s *simplex) scatterCol(j int, w []float64) []int32 { return s.addColScaled(j, 1, w) }
 
 // colDot computes aⱼᵀy for original-row indexed y.
 func (s *simplex) colDot(j int, y []float64) float64 {

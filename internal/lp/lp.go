@@ -21,7 +21,18 @@
 // cost has the sign its bound favours, as in every Checkmate LP, whose costs
 // are all nonnegative — the dual simplex drives out the primal
 // infeasibilities; otherwise, or if the dual start breaks down, a textbook
-// two-phase primal method with explicit artificial variables does.
+// two-phase primal method with explicit artificial variables does. A dual
+// start is done when every basic variable is within Tol of its bounds and
+// their summed violation is too; when only the rows pass, it refactors and
+// pivots on with a row threshold of Tol/m instead of restarting.
+//
+// A dual pivot costs only the nonzeros it touches. Its FTRAN and BTRAN
+// carry the right-hand side's nonzero pattern through the factors and the
+// eta file, visiting U in the dense sweep's position order by a heap and
+// finishing with the plain sweep once the pattern passes m/16 entries; the
+// leaving row comes from a list of the infeasible rows. Every sum runs over
+// the same terms in the same order as a dense pass, so the pivots are the
+// same as with dense solves, bit for bit.
 package lp
 
 import (

@@ -47,12 +47,12 @@ type simplex struct {
 	bufA []float64 // dense rhs accumulation
 	bufR []float64 // BTRAN of the pivot unit vector (devex / DSE row)
 	bufT []float64 // FTRAN of the pivot row (DSE weight update)
-	bufF []float64 // FTRAN of the bound flips, kept zeroed between uses
 	pbuf []float64 // perturbed phase-2 costs
 
 	// Dual pivot patterns: where ρ (rows), w and τ (slots) and the bound
-	// flips' FTRAN (flipIn in, flipPat out) may be nonzero. Each buffer is
-	// zero outside its pattern, so a pivot clears only what it touched.
+	// flips' FTRAN (flipIn in, flipPat out) may be nonzero. bufR, bufW and
+	// bufT are zero outside their patterns, so a pivot clears only what it
+	// touched.
 	rhoPat, wPat, tauPat []int32
 	flipIn, flipPat      []int32
 	// The basis positions that may be primal-infeasible by more than
@@ -131,7 +131,6 @@ func newSimplex(p *Problem, opt Options) *simplex {
 	s.bufA = make([]float64, m)
 	s.bufR = make([]float64, m)
 	s.bufT = make([]float64, m)
-	s.bufF = make([]float64, m)
 	s.onInfeas = make([]bool, m)
 	s.devex = make([]float64, s.total)
 	s.dse = make([]float64, m)
@@ -764,7 +763,7 @@ func (s *simplex) dualIterate(rowTol float64) Status {
 	maxStall := 200 + (s.m+s.n)/4
 	// Every buffer starts zero with an empty pattern: a primal pass of an
 	// earlier solve on this engine leaves bufW, bufR and bufT dense.
-	for _, buf := range [][]float64{s.bufR, s.bufW, s.bufT, s.bufF} {
+	for _, buf := range [][]float64{s.bufR, s.bufW, s.bufT} {
 		clear(buf)
 	}
 	s.rhoPat, s.wPat, s.tauPat = s.rhoPat[:0], s.wPat[:0], s.tauPat[:0]
@@ -1090,7 +1089,8 @@ func (s *simplex) boundFlipRatioTest(cands []dualCand, leave int, remaining floa
 		nflip++
 	}
 	if nflip > 0 {
-		acc := s.bufF
+		acc := s.bufA
+		clear(acc)
 		in := s.flipIn[:0]
 		for k := 0; k < nflip; k++ {
 			c := cands[k]
@@ -1112,7 +1112,6 @@ func (s *simplex) boundFlipRatioTest(cands []dualCand, leave int, remaining floa
 				s.xB[i] -= acc[i]
 				s.noteInfeasible(i)
 			}
-			acc[i] = 0
 		}
 		s.flips += nflip
 		flipped = true

@@ -7,7 +7,13 @@
 // Because rounding ignores the memory constraint, the LP is solved against a
 // deflated budget (1−ε)·M_budget (Section 5.3); the paper finds ε = 0.1 to
 // work well, and Appendix D notes a search over ε can recover tighter
-// schedules — implemented here as SolveWithSearch.
+// schedules — implemented here as SolveWithSearch, over the grid EpsGrid.
+//
+// The search stops early once its best feasible rounding computes every
+// node exactly once. Node costs are non-negative (graph.Validate rejects
+// negative ones), so no schedule costs less than that ideal, and a later ε
+// could only tie it; the sweep keeps its best on ties, so the answer is the
+// full sweep's.
 package approx
 
 import (
@@ -17,7 +23,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/telemetry"
 )
@@ -130,7 +135,7 @@ func build(ctx context.Context, inst core.Instance) (*core.Formulation, error) {
 func solveAtEps(ctx context.Context, f *core.Formulation, inst core.Instance, opt Options, eps float64, warm *lp.Basis, stats *SearchStats) (*Result, *lp.Basis, error) {
 	ctx, span := telemetry.StartSpan(ctx, "eps_point", telemetry.A("eps", eps))
 	defer span.End()
-	f.SetBudget(int64(float64(inst.Budget) * (1 - eps)))
+	f.SetBudget(DeflatedBudget(inst.Budget, eps))
 	rel, err := f.Relax(ctx, warm)
 	if stats != nil {
 		stats.LPSolves++
@@ -166,6 +171,18 @@ func SolveWithSearch(inst core.Instance, opt Options) (*Result, error) {
 	return SolveWithSearchCtx(context.Background(), inst, opt)
 }
 
+// EpsGrid returns the ε points SolveWithSearch sweeps, in the increasing
+// order it solves them.
+func EpsGrid() []float64 {
+	return []float64{0, 0.05, 0.1, 0.2, 0.3, 0.5}
+}
+
+// DeflatedBudget is the budget an ε point's LP is solved against,
+// (1−ε)·budget (Section 5.3).
+func DeflatedBudget(budget int64, eps float64) int64 {
+	return int64(float64(budget) * (1 - eps))
+}
+
 // SolveWithSearchCtx is SolveWithSearch with cancellation: the ε sweep stops
 // between (and inside) LP solves once ctx is cancelled.
 //
@@ -180,6 +197,13 @@ func SolveWithSearch(inst core.Instance, opt Options) (*Result, error) {
 // so a larger ε, a smaller budget, only shrinks the LP's feasible set: every
 // later LP would be infeasible too.
 //
+// The sweep also stops once its best feasible rounding computes every node
+// exactly once (Sched.Recomputations() == 0). Roundings are
+// frontier-advancing, so each computes every node at least once, and node
+// costs are non-negative: that schedule's cost is the ideal lower bound, no
+// later rounding can cost strictly less, and the sweep replaces its best
+// only on a strictly cheaper one. The result is the full sweep's.
+//
 // The returned Result's Search field records the chain's LP work, the
 // infeasible LPs included.
 func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
@@ -191,7 +215,7 @@ func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*
 	var best *Result
 	var stats SearchStats
 	var chain *lp.Basis
-	for _, eps := range []float64{0, 0.05, 0.1, 0.2, 0.3, 0.5} {
+	for _, eps := range EpsGrid() {
 		if err := ctx.Err(); err != nil {
 			// Out of time mid-sweep: a feasible schedule already in hand
 			// beats an error (mirrors the optimal path returning its
@@ -227,6 +251,9 @@ func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*
 		}
 		if best == nil || r.Cost < best.Cost {
 			best = r
+			if r.Sched.Recomputations() == 0 {
+				break
+			}
 		}
 	}
 	if best == nil {
@@ -271,7 +298,7 @@ func bestRandomized(inst core.Instance, fs *core.FractionalSched, lpObj float64,
 func Samples(ctx context.Context, inst core.Instance, opt Options) (det *Result, rnd []*Result, err error) {
 	opt = opt.withDefaults()
 	deflated := inst
-	deflated.Budget = int64(float64(inst.Budget) * (1 - opt.Epsilon))
+	deflated.Budget = DeflatedBudget(inst.Budget, opt.Epsilon)
 	fs, lpObj, err := core.SolveRelaxationCtx(ctx, deflated, false)
 	if err != nil {
 		return nil, nil, err
@@ -295,5 +322,3 @@ func finish(inst core.Instance, s *core.Sched, lpObj float64) *Result {
 		Feasible:  peak <= float64(inst.Budget),
 	}
 }
-
-var _ = graph.NodeID(0)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/interval"
+	"repro/internal/lp"
 	"repro/internal/telemetry"
 )
 
@@ -106,7 +108,8 @@ type SolverPerf struct {
 	SweepSpeedup float64 `json:"sweep_speedup"`
 
 	// ε-search comparison: the approximation path's LP chain cold versus
-	// warm-started (basis threaded between ε points).
+	// warm-started (basis threaded between ε points), driven through the
+	// formulation over every ε of approx.EpsGrid (see epsChain).
 	EpsSolves      int64   `json:"eps_solves"`
 	EpsWarmHits    int64   `json:"eps_warm_hits"`
 	EpsWarmHitRate float64 `json:"eps_warm_hit_rate"`
@@ -314,31 +317,32 @@ func SolverBench(ctx context.Context, w io.Writer, sc Scale, threads int) (*Solv
 
 	// ε-search: the approximation path's LP chain, cold vs warm-started.
 	// The loose budget mirrors how the approx method is used (it needs
-	// headroom for the (1−ε) deflation to stay feasible).
+	// headroom for the (1−ε) deflation to stay feasible). The chain runs
+	// through the formulation rather than the search: the search stops at
+	// its first ideal-cost rounding, which on this chain is the first LP.
 	einst := core.Instance{G: g, Budget: minB + (peak-minB)/2}
 	t0 = time.Now()
-	ecold, err := approx.SolveWithSearchCtx(ctx, einst, approx.Options{NoWarmStart: true})
+	ecold, err := epsChain(ctx, einst, false)
 	if err != nil {
-		return nil, fmt.Errorf("eps-search cold: %w", err)
+		return nil, fmt.Errorf("eps chain cold: %w", err)
 	}
 	perf.EpsColdMS = msSince(t0)
 	t0 = time.Now()
-	ewarm, err := approx.SolveWithSearchCtx(ctx, einst, approx.Options{})
+	ewarm, err := epsChain(ctx, einst, true)
 	if err != nil {
-		return nil, fmt.Errorf("eps-search warm: %w", err)
+		return nil, fmt.Errorf("eps chain warm: %w", err)
 	}
 	perf.EpsWarmMS = msSince(t0)
-	perf.EpsSolves = int64(ewarm.Search.LPSolves)
-	perf.EpsWarmHits = int64(ewarm.Search.WarmHits)
-	if perf.EpsSolves > 0 {
-		// The first ε point is necessarily cold; the hit rate is over the
-		// chainable remainder.
-		if chainable := perf.EpsSolves - 1; chainable > 0 {
-			perf.EpsWarmHitRate = float64(perf.EpsWarmHits) / float64(chainable)
-		}
+	if ewarm.LPSolves < 2 {
+		return nil, fmt.Errorf("eps chain ran %d LP(s) at budget %d; a warm-start comparison needs at least 2", ewarm.LPSolves, einst.Budget)
 	}
-	perf.EpsColdIters = ecold.Search.SimplexIters
-	perf.EpsWarmIters = ewarm.Search.SimplexIters
+	perf.EpsSolves = int64(ewarm.LPSolves)
+	perf.EpsWarmHits = int64(ewarm.WarmHits)
+	// The first ε point is necessarily cold; the hit rate is over the
+	// chainable remainder.
+	perf.EpsWarmHitRate = float64(perf.EpsWarmHits) / float64(perf.EpsSolves-1)
+	perf.EpsColdIters = ecold.SimplexIters
+	perf.EpsWarmIters = ewarm.SimplexIters
 	if perf.EpsWarmIters > 0 {
 		perf.EpsIterRatio = float64(perf.EpsColdIters) / float64(perf.EpsWarmIters)
 	}
@@ -367,7 +371,7 @@ func SolverBench(ctx context.Context, w io.Writer, sc Scale, threads int) (*Solv
 	}
 	fmt.Fprintf(w, "sweep (%d budgets): cold %.1f ms, warm %.1f ms — %.2fx\n",
 		perf.SweepPoints, perf.SweepColdMS, perf.SweepWarmMS, perf.SweepSpeedup)
-	fmt.Fprintf(w, "eps-search (%d LPs): %d/%d warm hits, iters %d cold vs %d warm (%.2fx), %.1f ms vs %.1f ms (%.2fx)\n",
+	fmt.Fprintf(w, "eps LP chain (%d LPs): %d/%d warm hits, iters %d cold vs %d warm (%.2fx), %.1f ms vs %.1f ms (%.2fx)\n",
 		perf.EpsSolves, perf.EpsWarmHits, perf.EpsSolves-1, perf.EpsColdIters, perf.EpsWarmIters,
 		perf.EpsIterRatio, perf.EpsColdMS, perf.EpsWarmMS, perf.EpsSpeedup)
 
@@ -375,6 +379,39 @@ func SolverBench(ctx context.Context, w io.Writer, sc Scale, threads int) (*Solv
 		return nil, err
 	}
 	return perf, nil
+}
+
+// epsChain solves the ε-search's LPs the way approx.SolveWithSearchCtx
+// does, without its rounding or its ideal-cost stop: one formulation, every
+// ε of approx.EpsGrid at its deflated budget, each LP warm-started from the
+// previous one's basis when warm is set. Like the search it stops after the
+// first infeasible LP, which it counts.
+func epsChain(ctx context.Context, inst core.Instance, warm bool) (approx.SearchStats, error) {
+	var st approx.SearchStats
+	f, err := core.Build(inst, core.BuildOptions{FrontierAdvancing: true})
+	if err != nil {
+		return st, err
+	}
+	var chain *lp.Basis
+	for _, eps := range approx.EpsGrid() {
+		f.SetBudget(approx.DeflatedBudget(inst.Budget, eps))
+		rel, err := f.Relax(ctx, chain)
+		st.LPSolves++
+		if rel.Warm {
+			st.WarmHits++
+		}
+		st.SimplexIters += int64(rel.Iters)
+		if errors.Is(err, core.ErrInfeasibleRelaxation) {
+			break
+		}
+		if err != nil {
+			return st, fmt.Errorf("ε=%v: %w", eps, err)
+		}
+		if warm {
+			chain = rel.Basis
+		}
+	}
+	return st, nil
 }
 
 // intervalBench runs the large-graph interval-method section: a 150-layer

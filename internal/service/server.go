@@ -595,16 +595,17 @@ func (s *Server) solveParamsFrom(method string, budget, timeLimitMS int64, relGa
 	return p, nil
 }
 
-// solveOne resolves one (workload, params) instance through the two cache
+// solveKeyed resolves one (workload, params) instance through the two cache
 // tiers (in-memory, then persistent store) and, on miss, the worker pool
 // under cost-aware admission. It is the shared engine of /v1/solve, each
 // /v1/sweep point, and /v1/solve/stream: every solver run forwards its
 // progress events to the stream hub watching its SolveKey (if any — the
 // lookup is per event, so watchers attaching mid-solve still see the rest
 // of the trajectory). Cache hits bypass the solver, so watchers see no
-// events for them.
-func (s *Server) solveOne(ctx context.Context, wl *checkmate.Workload, p solveParams, noCache bool) (*api.SolveResponse, error) {
-	key := wl.SolveKeyFor(p.method, p.budget, p.opt)
+// events for them. key must be wl.SolveKeyFor(p.method, p.budget, p.opt):
+// callers compute it once per request or sweep point and reuse it for
+// routing and stream-hub naming.
+func (s *Server) solveKeyed(ctx context.Context, wl *checkmate.Workload, p solveParams, key graph.Fingerprint, noCache bool) (*api.SolveResponse, error) {
 	if !noCache {
 		// Tier 1: in-memory shard. Hit/miss accounting lives in the shard;
 		// NoCache requests never consult the cache, so they skew no counter.
@@ -882,7 +883,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if owner, ok := s.forwardTarget(r, key.String()); ok {
 		// A locally cached answer beats the network no matter who owns the
 		// key; the tiers are only consulted on the forwarding path so the
-		// standalone hit/miss accounting in solveOne stays untouched.
+		// standalone hit/miss accounting in solveKeyed stays untouched.
 		if !req.NoCache {
 			if resp, ok := s.cachedResponse(key); ok {
 				writeJSON(w, http.StatusOK, resp)
@@ -895,7 +896,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// Owner unreachable: availability beats dedup. Solve here, stamped.
-		resp, err := s.solveOne(r.Context(), wl, p, req.NoCache)
+		resp, err := s.solveKeyed(r.Context(), wl, p, key, req.NoCache)
 		if err != nil {
 			s.writeSolveErr(w, r, err)
 			return
@@ -904,7 +905,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	resp, err := s.solveOne(r.Context(), wl, p, req.NoCache)
+	resp, err := s.solveKeyed(r.Context(), wl, p, key, req.NoCache)
 	if err != nil {
 		s.writeSolveErr(w, r, err)
 		return
@@ -921,6 +922,17 @@ type sweepPlan struct {
 	method string
 	params []solveParams
 	resp   api.SweepResponse // envelope (MinBudget, CheckpointAllPeak); Points filled by runSweep
+}
+
+// solveKeys returns each point's SolveKey, params[i]'s at index i. A sweep
+// computes them once, when it is about to run here rather than be relayed
+// to its fleet owner.
+func (p *sweepPlan) solveKeys() []graph.Fingerprint {
+	keys := make([]graph.Fingerprint, len(p.params))
+	for i, sp := range p.params {
+		keys[i] = p.wl.SolveKeyFor(sp.method, sp.budget, sp.opt)
+	}
+	return keys
 }
 
 // buildSweepPlan validates req end to end — workload, budget list, every
@@ -972,7 +984,8 @@ func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
 	return plan, 0, nil
 }
 
-// runSweep executes every point of plan and returns the completed response.
+// runSweep executes every point of plan, keys[i] being point i's SolveKey
+// (plan.solveKeys), and returns the completed response.
 // Each finished point is also handed to onPoint (when non-nil) the moment it
 // lands — completion order, not budget order — which is how the streaming
 // endpoint narrates progress. onPoint calls are serialized.
@@ -981,7 +994,7 @@ func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
 // throttled to the worker count: pool.submit's enqueue is non-blocking, so
 // firing all points at once would overflow the bounded queue and fail most
 // of a large sweep with spurious queue-full errors.
-func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, onPoint func(i int, pt api.SweepPoint)) api.SweepResponse {
+func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, keys []graph.Fingerprint, onPoint func(i int, pt api.SweepPoint)) api.SweepResponse {
 	resp := plan.resp
 	resp.Points = make([]api.SweepPoint, len(plan.params))
 	var mu sync.Mutex // serializes onPoint across point goroutines
@@ -1017,7 +1030,7 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, onPoint func(i i
 				record(i, pt)
 				return
 			}
-			res, err := s.solveOne(ctx, plan.wl, p, false)
+			res, err := s.solveKeyed(ctx, plan.wl, p, keys[i], false)
 			if err != nil {
 				pt.Error = err.Error()
 			} else {
@@ -1070,7 +1083,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fleet.NoteLocalFallback()
 	}
 
-	resp := s.runSweep(r.Context(), plan, nil)
+	resp := s.runSweep(r.Context(), plan, plan.solveKeys(), nil)
 	if err := r.Context().Err(); err != nil {
 		writeErr(w, r, http.StatusRequestTimeout, "%v", err)
 		return

@@ -291,7 +291,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		cachedLocally := false
 		if !req.NoCache {
 			// Cached locally: stream the local (instant) solve rather than
-			// relaying; solveOne below hits the same cache.
+			// relaying; solveKeyed below hits the same cache.
 			_, cachedLocally = s.cachedResponse(key)
 		}
 		if !cachedLocally {
@@ -317,7 +317,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 				Reason: "fleet owner unreachable; solving locally",
 			})
 		}
-		resp, err := s.solveOne(ctx, wl, p, req.NoCache)
+		resp, err := s.solveKeyed(ctx, wl, p, key, req.NoCache)
 		if err == nil && fleetOwner != "" {
 			s.stampFleetLocal(resp, fleetOwner)
 		}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/graph"
 	"repro/internal/service/api"
 	"repro/internal/telemetry"
 )
@@ -61,7 +62,8 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rid := telemetry.RequestID(r.Context())
-	hub, release := s.attachStream(sweepStreamKey(plan), func(ctx context.Context, h *streamHub) {
+	keys := plan.solveKeys()
+	hub, release := s.attachStream(sweepStreamKey(plan, keys), func(ctx context.Context, h *streamHub) {
 		if rid != "" {
 			ctx = telemetry.WithRequestID(ctx, rid)
 		}
@@ -73,7 +75,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		total := len(plan.params)
-		resp := s.runSweep(ctx, plan, func(i int, pt api.SweepPoint) {
+		resp := s.runSweep(ctx, plan, keys, func(i int, pt api.SweepPoint) {
 			h.publish(api.StreamEventSweepPoint, api.StreamSweepPoint{
 				Index: i, Total: total, Point: pt,
 			})
@@ -94,17 +96,18 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepStreamKey names the hub of one exact sweep. It hashes every point's
-// SolveKey, so two sweeps share a hub — and one in-flight run — only when
-// they agree on the workload, method, budget list, and solve options. The
-// "sweep/" namespace keeps hub keys disjoint from solve-stream hubs (bare
-// SolveKey strings) and from receiving keyObserver solver events.
-func sweepStreamKey(plan *sweepPlan) string {
+// SolveKey (keys, from plan.solveKeys), so two sweeps share a hub — and one
+// in-flight run — only when they agree on the workload, method, budget
+// list, and solve options. The "sweep/" namespace keeps hub keys disjoint
+// from solve-stream hubs (bare SolveKey strings) and from receiving
+// keyObserver solver events.
+func sweepStreamKey(plan *sweepPlan, keys []graph.Fingerprint) string {
 	h := sha256.New()
 	io.WriteString(h, "checkmate/sweep-stream/v1")
 	io.WriteString(h, "\x00"+plan.wl.Fingerprint().String())
 	io.WriteString(h, "\x00"+plan.method)
-	for _, p := range plan.params {
-		io.WriteString(h, "\x00"+plan.wl.SolveKeyFor(p.method, p.budget, p.opt).String())
+	for _, key := range keys {
+		io.WriteString(h, "\x00"+key.String())
 	}
 	return "sweep/" + hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -327,6 +327,7 @@ func (f *Formulation) Relax(ctx context.Context, warm *lp.Basis) (*Relaxation, e
 	sol := f.solver.Solve(f.Prob.LP, lp.Options{Cancel: ctx.Done(), WarmStart: warm})
 	span.SetAttr("iters", sol.Iters)
 	span.SetAttr("dual_start_iters", sol.DualStartIters)
+	span.SetAttr("refactors", sol.Refactors)
 	span.SetAttr("accepted_warm", sol.Warm)
 	rel := &Relaxation{
 		Iters:          sol.Iters,

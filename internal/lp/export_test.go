@@ -16,13 +16,16 @@ func TwoPhase(p *Problem, opt Options) *Solution {
 }
 
 // DualPivots solves p cold like Problem.Solve, with the sparse solves'
-// pattern limit set to sparseMax (negative keeps the default m/16), and
+// pattern limit set to sparseMax (negative keeps the default m/16) and, if
+// noUnits is set, no slack marked as a unit column, so that refactorization
+// takes every basis column through the column callback and elimination. It
 // returns each dual pivot's leaving position and entering column.
-func DualPivots(p *Problem, sparseMax int) (*Solution, [][2]int) {
+func DualPivots(p *Problem, sparseMax int, noUnits bool) (*Solution, [][2]int) {
 	s := newSimplex(p, Options{})
 	if sparseMax >= 0 {
 		s.f.sparseMax = sparseMax
 	}
+	s.noUnits = noUnits
 	var seq [][2]int
 	s.onPivot = func(leave, enter int) { seq = append(seq, [2]int{leave, enter}) }
 	return s.solve(), seq

@@ -18,6 +18,11 @@ import (
 // fill-minimizing threshold pivot rule). Without this, basis fill-in
 // dominates the entire solve.
 //
+// Most basis slots of a Checkmate LP hold slack columns, unit columns e_r.
+// The engine marks them (unit), and refactorize gives each one whose planned
+// row is still free its trivial factor directly; only the structural columns
+// pay for the column callback and elimination.
+//
 // Indexing: basis slots (the caller's column positions) are factored in a
 // permuted processing order. L and U are stored in processing order; pivRow
 // maps processing position → original constraint row, slotOfPos/posOfSlot
@@ -27,16 +32,21 @@ import (
 type factor struct {
 	m int
 
-	// L: unit lower triangular (processing order), off-diagonal entries per
-	// column in original-row indexing. lCols lists the positions whose
-	// column has any, ascending: simplex bases are nearly triangular, so L
-	// is nearly the identity and the solves visit only these.
-	lIdx  [][]int32
-	lVal  [][]float64
+	// L: unit lower triangular (processing order). Column t's off-diagonal
+	// entries, in original-row indexing, are lIdx/lVal[lPtr[t]:lPtr[t+1]];
+	// refactorize appends the columns in processing order. lCols lists the
+	// positions whose column has any, ascending: simplex bases are nearly
+	// triangular, so L is nearly the identity and the solves visit only
+	// these.
+	lPtr  []int32
+	lIdx  []int32
+	lVal  []float64
 	lCols []int32
-	// U: upper triangular in processing space, off-diagonals per column.
-	uIdx  [][]int32
-	uVal  [][]float64
+	// U: upper triangular in processing space, column k's off-diagonals at
+	// uIdx/uVal[uPtr[k]:uPtr[k+1]], likewise appended in processing order.
+	uPtr  []int32
+	uIdx  []int32
+	uVal  []float64
 	uDiag []float64
 	// The same off-diagonals by row (row t holds the columns k > t with a
 	// U[t][k] entry), rebuilt at each refactorization, so BTRAN's Uᵀ solve
@@ -50,6 +60,11 @@ type factor struct {
 
 	slotOfPos []int32 // processing position -> basis slot
 	posOfSlot []int32 // basis slot -> processing position
+
+	// unit[slot] is r when basis slot holds the unit column e_r, else -1.
+	// The engine fills it before each refactorization; refactorize never
+	// calls the column callback for a marked slot.
+	unit []int32
 
 	// Eta file (slot space).
 	etaP    []int32
@@ -77,11 +92,17 @@ type factor struct {
 	dfs     []int32
 	dfsIter []int32
 
-	// Scratch for singleton peeling.
-	pattern  [][]int32 // slot -> row pattern
-	rowCols  [][]int32 // row -> slots containing it
-	rowCount []int32
-	colCount []int32
+	// Scratch for singleton peeling. The basis pattern, by slot for the
+	// columns other than unit columns (patIdx[patPtr[slot]:patPtr[slot+1]])
+	// and by row for the same columns (rowSlots[rsPtr[r]:rsPtr[r+1]],
+	// ascending); unitAt[r] is the slot of the unit column e_r, or -1.
+	patPtr   []int32
+	patIdx   []int32
+	rsPtr    []int32
+	rowSlots []int32
+	unitAt   []int32
+	rowCount []int32 // unordered columns containing each active row
+	colCount []int32 // active rows of each unordered column
 	order    []int32 // processing order of slots
 	sugg     []int32 // suggested pivot row per slot (-1 = none)
 
@@ -89,24 +110,24 @@ type factor struct {
 	rowActive []bool  // planOrder: row still unpivoted
 	colQ      []int32 // planOrder: column-singleton queue
 	rowQ      []int32 // planOrder: row-singleton queue
+	open      []int32 // planOrder: unordered slots, ascending, for the bump pick
 	touched   []int32 // refactorize: rows touched by the current column
 }
 
 var errSingular = errors.New("lp: basis is numerically singular")
 
 func newFactor(m int) *factor {
-	return &factor{
+	f := &factor{
 		m:         m,
-		lIdx:      make([][]int32, m),
-		lVal:      make([][]float64, m),
-		uIdx:      make([][]int32, m),
-		uVal:      make([][]float64, m),
+		lPtr:      make([]int32, m+1),
+		uPtr:      make([]int32, m+1),
 		uDiag:     make([]float64, m),
 		urPtr:     make([]int32, m+1),
 		pivRow:    make([]int32, m),
 		rowPos:    make([]int32, m),
 		slotOfPos: make([]int32, m),
 		posOfSlot: make([]int32, m),
+		unit:      make([]int32, m),
 		work:      make([]float64, m),
 		work2:     make([]float64, m),
 		work3:     make([]float64, m),
@@ -116,8 +137,9 @@ func newFactor(m int) *factor {
 		reach:     make([]int32, 0, m),
 		dfs:       make([]int32, 0, 64),
 		dfsIter:   make([]int32, 0, 64),
-		pattern:   make([][]int32, m),
-		rowCols:   make([][]int32, m),
+		patPtr:    make([]int32, m+1),
+		rsPtr:     make([]int32, m+2),
+		unitAt:    make([]int32, m),
 		rowCount:  make([]int32, m),
 		colCount:  make([]int32, m),
 		order:     make([]int32, 0, m),
@@ -126,6 +148,10 @@ func newFactor(m int) *factor {
 		rowActive: make([]bool, m),
 		touched:   make([]int32, 0, 64),
 	}
+	for i := range f.unit {
+		f.unit[i] = -1
+	}
+	return f
 }
 
 // reset discards the eta file so the factorization state from a previous
@@ -135,139 +161,247 @@ func (f *factor) reset() {
 	f.numEtas = 0
 }
 
+// pattern returns the rows of basis slot's column.
+func (f *factor) pattern(slot int32) []int32 {
+	if f.unit[slot] >= 0 {
+		return f.unit[slot : slot+1]
+	}
+	return f.patIdx[f.patPtr[slot]:f.patPtr[slot+1]]
+}
+
+// lcol returns L column t's off-diagonal rows and values.
+func (f *factor) lcol(t int32) ([]int32, []float64) {
+	a, b := f.lPtr[t], f.lPtr[t+1]
+	return f.lIdx[a:b], f.lVal[a:b]
+}
+
+// ucol returns U column k's off-diagonal positions and values.
+func (f *factor) ucol(k int32) ([]int32, []float64) {
+	a, b := f.uPtr[k], f.uPtr[k+1]
+	return f.uIdx[a:b], f.uVal[a:b]
+}
+
+// slotsOf returns the slots of the columns other than unit columns that
+// contain row r, ascending.
+func (f *factor) slotsOf(r int32) []int32 { return f.rowSlots[f.rsPtr[r]:f.rsPtr[r+1]] }
+
 // planOrder computes a triangularizing processing order of the basis slots
 // by column- and row-singleton peeling over the symbolic patterns, leaving
 // non-triangular bump columns last. It fills f.order and f.sugg.
+//
+// Column singletons go first, from one last-in-first-out queue that starts
+// with the initial singletons in ascending slot order; row singletons follow
+// from another, each pivot's new column singletons first; the bump columns
+// come last. The unit columns stay out of the row lists (unitAt finds them)
+// and out of the queues: each is an initial singleton, taken at its turn in
+// the descending sweep that stands in for the queue's initial contents.
 func (f *factor) planOrder() {
-	m := f.m
+	m := int32(f.m)
 	f.order = f.order[:0]
-	processed := f.processed
-	rowActive := f.rowActive
-	for r := 0; r < m; r++ {
-		processed[r] = false
-		rowActive[r] = true
-		f.rowCols[r] = f.rowCols[r][:0]
+	clear(f.processed)
+	// Row → slot lists of the other columns by counting, ascending within
+	// each row: count row r at ptr[r+2], so that the prefix sums put row
+	// r's start at ptr[r+1] and the fill, advancing it, leaves it at ptr[r].
+	ptr := f.rsPtr
+	clear(ptr)
+	for r := range f.unitAt {
+		f.unitAt[r] = -1
+		f.rowActive[r] = true
 	}
-	for slot := 0; slot < m; slot++ {
+	for slot := int32(0); slot < m; slot++ {
 		f.sugg[slot] = -1
-		f.colCount[slot] = int32(len(f.pattern[slot]))
-	}
-	for slot := 0; slot < m; slot++ {
-		for _, r := range f.pattern[slot] {
-			f.rowCols[r] = append(f.rowCols[r], int32(slot))
-		}
-	}
-	for r := 0; r < m; r++ {
-		f.rowCount[r] = int32(len(f.rowCols[r]))
-	}
-
-	// Queue of column singletons.
-	colQ := f.colQ[:0]
-	for slot := 0; slot < m; slot++ {
-		if f.colCount[slot] == 1 {
-			colQ = append(colQ, int32(slot))
-		}
-	}
-	rowQ := f.rowQ[:0]
-	for r := 0; r < m; r++ {
-		if f.rowCount[r] == 1 {
-			rowQ = append(rowQ, int32(r))
-		}
-	}
-
-	process := func(slot, prow int32) {
-		processed[slot] = true
-		f.sugg[slot] = prow
-		f.order = append(f.order, slot)
-		// Deactivate the pivot row: shrink other columns.
-		if prow >= 0 {
-			rowActive[prow] = false
-			for _, c := range f.rowCols[prow] {
-				if processed[c] {
-					continue
-				}
-				f.colCount[c]--
-				if f.colCount[c] == 1 {
-					colQ = append(colQ, c)
-				}
-			}
-		}
-		// The column leaves: shrink its other active rows.
-		for _, r := range f.pattern[slot] {
-			if r == prow || !rowActive[r] {
-				continue
-			}
-			f.rowCount[r]--
-			if f.rowCount[r] == 1 {
-				rowQ = append(rowQ, r)
-			}
-		}
-	}
-
-	remaining := m
-	for remaining > 0 {
-		if len(colQ) > 0 {
-			slot := colQ[len(colQ)-1]
-			colQ = colQ[:len(colQ)-1]
-			if processed[slot] || f.colCount[slot] != 1 {
-				continue
-			}
-			// Find its single active row.
-			var prow int32 = -1
-			for _, r := range f.pattern[slot] {
-				if rowActive[r] {
-					prow = r
-					break
-				}
-			}
-			if prow < 0 {
-				continue
-			}
-			process(slot, prow)
-			remaining--
+		if u := f.unit[slot]; u >= 0 {
+			f.unitAt[u] = slot
+			f.colCount[slot] = 1
 			continue
 		}
-		if len(rowQ) > 0 {
-			r := rowQ[len(rowQ)-1]
-			rowQ = rowQ[:len(rowQ)-1]
-			if !rowActive[r] || f.rowCount[r] != 1 {
+		rows := f.pattern(slot)
+		f.colCount[slot] = int32(len(rows))
+		for _, r := range rows {
+			ptr[r+2]++
+		}
+	}
+	// A row whose only column is a unit column never pivots from the row
+	// queue: that column takes the row in the sweep, before the queue runs.
+	f.rowQ = f.rowQ[:0]
+	for r := int32(0); r < m; r++ {
+		n := ptr[r+2]
+		if f.unitAt[r] >= 0 {
+			n++
+		} else if n == 1 {
+			f.rowQ = append(f.rowQ, r)
+		}
+		f.rowCount[r] = n
+		ptr[r+2] += ptr[r+1]
+	}
+	f.rowSlots = slices.Grow(f.rowSlots[:0], int(ptr[m+1]))[:ptr[m+1]]
+	for slot := int32(0); slot < m; slot++ {
+		if f.unit[slot] >= 0 {
+			continue
+		}
+		for _, r := range f.pattern(slot) {
+			f.rowSlots[ptr[r+1]] = slot
+			ptr[r+1]++
+		}
+	}
+
+	f.colQ = f.colQ[:0]
+	for slot := m - 1; slot >= 0; slot-- {
+		if u := f.unit[slot]; u >= 0 {
+			// Its one visit: it is unordered, and single while its row is
+			// active (only that row's pivot shrinks it). process(slot, u)
+			// without the steps that cannot apply: u is its only row, and
+			// no other unit column contains u.
+			if f.rowActive[u] {
+				f.processed[slot] = true
+				f.sugg[slot] = u
+				f.order = append(f.order, slot)
+				f.rowActive[u] = false
+				if f.rsPtr[u] < f.rsPtr[u+1] {
+					f.shrinkColumns(u)
+					f.drainSingletons()
+				}
+			}
+		} else if f.patPtr[slot+1]-f.patPtr[slot] == 1 {
+			f.pivotSingleton(slot)
+			f.drainSingletons()
+		}
+	}
+	open := f.open[:0]
+	listed := false
+	for len(f.order) < f.m {
+		if n := len(f.rowQ); n > 0 {
+			r := f.rowQ[n-1]
+			f.rowQ = f.rowQ[:n-1]
+			if !f.rowActive[r] || f.rowCount[r] != 1 {
 				continue
 			}
+			// The row's first unordered slot, unit column included.
 			var slot int32 = -1
-			for _, c := range f.rowCols[r] {
-				if !processed[c] {
+			for _, c := range f.slotsOf(r) {
+				if !f.processed[c] {
 					slot = c
 					break
 				}
 			}
+			if u := f.unitAt[r]; u >= 0 && !f.processed[u] && (slot < 0 || u < slot) {
+				slot = u
+			}
 			if slot < 0 {
 				continue
 			}
-			process(slot, r)
-			remaining--
+			f.process(slot, r)
+			f.drainSingletons()
 			continue
 		}
-		// Bump: take the unprocessed column with the fewest active rows.
+		// Bump: take the unprocessed column with the fewest active rows, the
+		// lowest slot on ties. The first pick lists the unprocessed slots in
+		// ascending order; each pick scans that list and drops from it the
+		// slots processed since.
+		if !listed {
+			for slot := int32(0); slot < m; slot++ {
+				if !f.processed[slot] {
+					open = append(open, slot)
+				}
+			}
+			listed = true
+		}
 		var best int32 = -1
 		bestCnt := int32(1 << 30)
-		for slot := 0; slot < m; slot++ {
-			if !processed[slot] && f.colCount[slot] < bestCnt {
-				best, bestCnt = int32(slot), f.colCount[slot]
+		kept := open[:0]
+		for _, slot := range open {
+			if f.processed[slot] {
+				continue
+			}
+			kept = append(kept, slot)
+			if f.colCount[slot] < bestCnt {
+				best, bestCnt = slot, f.colCount[slot]
 			}
 		}
+		open = kept
 		if best < 0 {
 			break
 		}
-		process(best, -1) // pivot chosen numerically during factorization
-		remaining--
+		f.process(best, -1) // pivot chosen numerically during factorization
+		f.drainSingletons()
 	}
-	f.colQ, f.rowQ = colQ[:0], rowQ[:0] // retain grown capacity
+	f.open = open[:0] // retain grown capacity
 }
 
-// refactorize computes a fresh LU factorization of the basis whose columns
-// are provided by col(slot, scatter), which must add column slot's nonzeros
-// into the dense scatter slice (original-row indexed) and return the nonzero
-// row list. The eta file is discarded.
+// shrinkColumns takes the pivot row prow out of the active-row counts of
+// the unordered columns other than unit columns, queueing those it leaves
+// single.
+func (f *factor) shrinkColumns(prow int32) {
+	for _, c := range f.slotsOf(prow) {
+		if f.processed[c] {
+			continue
+		}
+		f.colCount[c]--
+		if f.colCount[c] == 1 {
+			f.colQ = append(f.colQ, c)
+		}
+	}
+}
+
+// pivotSingleton orders slot on its one active row if it is still unordered
+// and has exactly one.
+func (f *factor) pivotSingleton(slot int32) {
+	if f.processed[slot] || f.colCount[slot] != 1 {
+		return
+	}
+	for _, r := range f.pattern(slot) {
+		if f.rowActive[r] {
+			f.process(slot, r)
+			return
+		}
+	}
+}
+
+// drainSingletons orders the queued column singletons, last in first out.
+func (f *factor) drainSingletons() {
+	for n := len(f.colQ); n > 0; n = len(f.colQ) {
+		slot := f.colQ[n-1]
+		f.colQ = f.colQ[:n-1]
+		f.pivotSingleton(slot)
+	}
+}
+
+// process orders slot next with planned pivot row prow (-1: chosen
+// numerically during factorization). The pivot row leaves the other
+// columns' counts, queueing those it leaves single, and the column leaves
+// its other active rows' counts, queueing those it leaves single.
+func (f *factor) process(slot, prow int32) {
+	f.processed[slot] = true
+	f.sugg[slot] = prow
+	f.order = append(f.order, slot)
+	if prow >= 0 {
+		f.rowActive[prow] = false
+		if u := f.unitAt[prow]; u >= 0 && !f.processed[u] {
+			f.colCount[u]-- // to 0: a unit column is never queued
+		}
+		f.shrinkColumns(prow)
+	}
+	for _, r := range f.pattern(slot) {
+		if r == prow || !f.rowActive[r] {
+			continue
+		}
+		f.rowCount[r]--
+		if f.rowCount[r] == 1 {
+			f.rowQ = append(f.rowQ, r)
+		}
+	}
+}
+
+// refactorize computes a fresh LU factorization of the basis. f.unit marks
+// the slots that hold unit columns; col(slot, scatter) must add any other
+// slot's nonzeros into the dense scatter slice (original-row indexed) and
+// return the nonzero row list. The eta file is discarded.
+//
+// A unit column e_r whose planned row r is still unpivoted when its turn
+// comes pivots on r with diagonal 1 and empty L and U columns, which is
+// what elimination would compute: no earlier pivot touches row r, so its
+// reach is empty and the planned pivot passes the threshold test. Any other
+// unit column is eliminated like a structural one.
 func (f *factor) refactorize(col func(slot int, scatter []float64) []int32) error {
 	m := f.m
 	// Drop the eta file logically; the entries (and their inner slices) stay
@@ -279,46 +413,67 @@ func (f *factor) refactorize(col func(slot int, scatter []float64) []int32) erro
 
 	// Collect symbolic patterns, then plan a fill-reducing order.
 	w := f.work
+	f.patIdx = f.patIdx[:0]
 	for slot := 0; slot < m; slot++ {
-		nz := col(slot, w)
-		f.pattern[slot] = append(f.pattern[slot][:0], nz...)
-		for _, r := range nz {
-			w[r] = 0
+		if f.unit[slot] < 0 {
+			nz := col(slot, w)
+			f.patIdx = append(f.patIdx, nz...)
+			for _, r := range nz {
+				w[r] = 0
+			}
 		}
+		f.patPtr[slot+1] = int32(len(f.patIdx))
 	}
 	f.planOrder()
 	if len(f.order) != m {
 		return errSingular
 	}
 
+	f.lIdx, f.lVal = f.lIdx[:0], f.lVal[:0]
+	f.uIdx, f.uVal = f.uIdx[:0], f.uVal[:0]
+	f.lCols = f.lCols[:0]
 	touched := f.touched[:0]
 	for pos := 0; pos < m; pos++ {
 		slot := f.order[pos]
 		f.slotOfPos[pos] = slot
 		f.posOfSlot[slot] = int32(pos)
 
-		touched = touched[:0]
-		nz := col(int(slot), w)
-		touched = append(touched, nz...)
+		u := f.unit[slot]
+		if u >= 0 && f.sugg[slot] == u && f.rowPos[u] < 0 {
+			// The trivial factor of e_u on its free planned row.
+			f.uDiag[pos] = 1
+			f.pivRow[pos] = u
+			f.rowPos[u] = int32(pos)
+			f.lPtr[pos+1] = int32(len(f.lIdx))
+			f.uPtr[pos+1] = int32(len(f.uIdx))
+			continue
+		}
+		var nz []int32
+		if u >= 0 {
+			w[u] = 1
+			nz = f.unit[slot : slot+1]
+		} else {
+			nz = col(int(slot), w)
+		}
+		touched = append(touched[:0], nz...)
 		// Eliminate along the Gilbert-Peierls reach of the pattern.
-		f.uIdx[pos] = f.uIdx[pos][:0]
-		f.uVal[pos] = f.uVal[pos][:0]
 		for _, t := range f.computeReach(nz) {
 			mult := w[f.pivRow[t]]
 			if mult == 0 {
 				continue
 			}
-			f.uIdx[pos] = append(f.uIdx[pos], t)
-			f.uVal[pos] = append(f.uVal[pos], mult)
-			li, lv := f.lIdx[t], f.lVal[t]
-			for s, r := range li {
+			f.uIdx = append(f.uIdx, t)
+			f.uVal = append(f.uVal, mult)
+			for s := f.lPtr[t]; s < f.lPtr[t+1]; s++ {
+				r := f.lIdx[s]
 				if w[r] == 0 {
 					touched = append(touched, r)
 				}
-				w[r] -= lv[s] * mult
+				w[r] -= f.lVal[s] * mult
 			}
 			w[f.pivRow[t]] = 0
 		}
+		f.uPtr[pos+1] = int32(len(f.uIdx))
 		// Pivot selection: the planned row if numerically sound, else a
 		// threshold rule preferring sparse rows.
 		best := int32(-1)
@@ -374,25 +529,21 @@ func (f *factor) refactorize(col func(slot int, scatter []float64) []int32) erro
 		f.uDiag[pos] = diag
 		f.pivRow[pos] = best
 		f.rowPos[best] = int32(pos)
-		f.lIdx[pos] = f.lIdx[pos][:0]
-		f.lVal[pos] = f.lVal[pos][:0]
 		for _, r := range touched {
 			v := w[r]
 			w[r] = 0
 			if v == 0 || r == best || f.rowPos[r] >= 0 {
 				continue
 			}
-			f.lIdx[pos] = append(f.lIdx[pos], r)
-			f.lVal[pos] = append(f.lVal[pos], v/diag)
+			f.lIdx = append(f.lIdx, r)
+			f.lVal = append(f.lVal, v/diag)
+		}
+		f.lPtr[pos+1] = int32(len(f.lIdx))
+		if f.lPtr[pos+1] > f.lPtr[pos] {
+			f.lCols = append(f.lCols, int32(pos))
 		}
 	}
 	f.touched = touched[:0] // retain grown capacity
-	f.lCols = f.lCols[:0]
-	for t := 0; t < m; t++ {
-		if len(f.lIdx[t]) > 0 {
-			f.lCols = append(f.lCols, int32(t))
-		}
-	}
 	f.transposeU()
 	return nil
 }
@@ -400,13 +551,9 @@ func (f *factor) refactorize(col func(slot int, scatter []float64) []int32) erro
 // transposeU rebuilds the row-wise copy of U's off-diagonals.
 func (f *factor) transposeU() {
 	ptr := f.urPtr
-	for i := range ptr {
-		ptr[i] = 0
-	}
-	for k := 0; k < f.m; k++ {
-		for _, t := range f.uIdx[k] {
-			ptr[t+1]++
-		}
+	clear(ptr)
+	for _, t := range f.uIdx {
+		ptr[t+1]++
 	}
 	for t := 0; t < f.m; t++ {
 		ptr[t+1] += ptr[t]
@@ -420,11 +567,11 @@ func (f *factor) transposeU() {
 	}
 	f.urIdx, f.urVal = f.urIdx[:nnz], f.urVal[:nnz]
 	// Fill with ptr[t] as row t's cursor, then shift the cursors back.
-	for k := 0; k < f.m; k++ {
-		uv := f.uVal[k]
-		for s, t := range f.uIdx[k] {
+	for k := int32(0); k < int32(f.m); k++ {
+		for s := f.uPtr[k]; s < f.uPtr[k+1]; s++ {
+			t := f.uIdx[s]
 			at := ptr[t]
-			f.urIdx[at], f.urVal[at] = int32(k), uv[s]
+			f.urIdx[at], f.urVal[at] = k, f.uVal[s]
 			ptr[t]++
 		}
 	}
@@ -463,13 +610,17 @@ func (f *factor) computeReach(rows []int32) []int32 {
 		if t < 0 || f.seen[t] == f.epoch {
 			continue
 		}
+		f.seen[t] = f.epoch
+		if f.lPtr[t] == f.lPtr[t+1] {
+			f.reach = append(f.reach, t) // no L entries: nothing below t
+			continue
+		}
 		f.dfs = append(f.dfs[:0], t)
 		f.dfsIter = append(f.dfsIter[:0], 0)
-		f.seen[t] = f.epoch
 		for len(f.dfs) > 0 {
 			top := len(f.dfs) - 1
 			c := f.dfs[top]
-			li := f.lIdx[c]
+			li, _ := f.lcol(c)
 			advanced := false
 			for it := f.dfsIter[top]; int(it) < len(li); it++ {
 				child := f.rowPos[li[it]]
@@ -502,7 +653,7 @@ func (f *factor) ftran(buf []float64) {
 	m := f.m
 	for _, t := range f.lCols {
 		if v := buf[f.pivRow[t]]; v != 0 {
-			li, lv := f.lIdx[t], f.lVal[t]
+			li, lv := f.lcol(t)
 			for s, r := range li {
 				buf[r] -= lv[s] * v
 			}
@@ -529,7 +680,7 @@ func (f *factor) usolve(y []float64, from int) {
 		}
 		xk := y[k] / f.uDiag[k]
 		y[k] = xk
-		ui, uv := f.uIdx[k], f.uVal[k]
+		ui, uv := f.ucol(int32(k))
 		for s, t := range ui {
 			y[t] -= uv[s] * xk
 		}
@@ -607,7 +758,7 @@ func (f *factor) ltsolve(buf []float64) {
 // L column t's entries times the rows they sit in.
 func (f *factor) ltDot(t int32, buf []float64) float64 {
 	v := buf[f.pivRow[t]]
-	li, lv := f.lIdx[t], f.lVal[t]
+	li, lv := f.lcol(t)
 	for s, r := range li {
 		v -= lv[s] * buf[r]
 	}
@@ -630,7 +781,7 @@ func (f *factor) ftranSparse(buf []float64, in, out []int32) []int32 {
 	}
 	for _, t := range f.lCols {
 		if v := buf[f.pivRow[t]]; v != 0 {
-			li, lv := f.lIdx[t], f.lVal[t]
+			li, lv := f.lcol(t)
 			for s, r := range li {
 				buf[r] -= lv[s] * v
 				pat = f.mark(pat, r)
@@ -664,7 +815,7 @@ func (f *factor) ftranSparse(buf []float64, in, out []int32) []int32 {
 		}
 		xk := y[k] / f.uDiag[k]
 		y[k] = xk
-		ui, uv := f.uIdx[k], f.uVal[k]
+		ui, uv := f.ucol(int32(k))
 		for s, t := range ui {
 			y[t] -= uv[s] * xk
 			if f.seen[t] != f.epoch {

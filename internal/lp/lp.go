@@ -33,6 +33,13 @@
 // leaving row comes from a list of the infeasible rows. Every sum runs over
 // the same terms in the same order as a dense pass, so the pivots are the
 // same as with dense solves, bit for bit.
+//
+// A refactorization spends its work on the basis's structural columns. The
+// slack columns, which fill most basis slots, are unit columns: it visits
+// them without the column callback and without elimination, giving each the
+// diagonal 1 and the empty L and U columns that elimination would compute.
+// The factors, and so every pivot, are bit for bit those of eliminating
+// every column.
 package lp
 
 import (
@@ -240,6 +247,10 @@ type Solution struct {
 	// Iters is the total simplex iterations across all phases (primal phase
 	// 1 and 2, plus any dual-simplex reoptimization pivots).
 	Iters int
+	// Refactors counts the solve's basis refactorizations: one for each
+	// basis it installs, one every Options.RefactorEvery eta updates, and
+	// one wherever it needs exact basic values or rejects an eta.
+	Refactors int
 	// Phase1Iters is the portion of Iters spent in the phase-1 feasibility
 	// search; 0 when phase 1 was skipped (feasible start or warm start).
 	Phase1Iters int

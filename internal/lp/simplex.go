@@ -62,8 +62,11 @@ type simplex struct {
 	onInfeas []bool
 	rowTol   float64
 	// onPivot, when set, sees every dual pivot's leaving position and
-	// entering column (tests compare pivot sequences with it).
+	// entering column (tests compare pivot sequences with it). noUnits,
+	// set only by tests, marks no slack as a unit column, so refactorization
+	// takes every basis column through the column callback and elimination.
 	onPivot func(leave, enter int)
+	noUnits bool
 
 	// Devex reference weights (one per column); reset to 1 when the
 	// reference framework is rebuilt.
@@ -93,6 +96,7 @@ type simplex struct {
 	p1buf   []float64 // phase-1 cost vector scratch
 
 	iters          int
+	refactors      int // basis refactorizations
 	p1iters        int
 	dualIters      int // dual pivots reoptimizing a warm-start basis
 	dualStartIters int // dual pivots from the cold slack basis
@@ -220,7 +224,7 @@ func (s *simplex) load(p *Problem, opt Options) {
 		s.stat[j] = statAtLower
 	}
 	s.pcost = nil
-	s.iters, s.p1iters, s.dualIters, s.dualStartIters = 0, 0, 0, 0
+	s.iters, s.refactors, s.p1iters, s.dualIters, s.dualStartIters = 0, 0, 0, 0, 0
 	s.flips, s.dseUpdates, s.degens = 0, 0, 0
 	s.phase, s.blandLeft, s.degenRun = 0, 0, 0
 	s.warm = false
@@ -335,8 +339,17 @@ func (s *simplex) initialPoint() {
 }
 
 // refactorAndRecompute refreshes the LU factorization and recomputes basic
-// variable values from scratch (fighting numerical drift).
+// variable values from scratch (fighting numerical drift). The basis slots
+// holding slacks are marked as unit columns, which the factorization takes
+// without the column callback.
 func (s *simplex) refactorAndRecompute() bool {
+	s.refactors++
+	for k, j := range s.basis {
+		s.f.unit[k] = -1
+		if r := j - int32(s.n); r >= 0 && r < int32(s.m) && !s.noUnits {
+			s.f.unit[k] = r
+		}
+	}
 	err := s.f.refactorize(func(k int, w []float64) []int32 {
 		return s.scatterCol(int(s.basis[k]), w)
 	})
@@ -568,6 +581,7 @@ func (s *simplex) dualStart(dtol float64, count *int) (done bool, final *Solutio
 // finishSolution stamps the iteration accounting shared by every solve exit.
 func (s *simplex) finishSolution(sol *Solution) *Solution {
 	sol.Iters = s.iters
+	sol.Refactors = s.refactors
 	sol.Phase1Iters = s.p1iters
 	sol.DualIters = s.dualIters
 	sol.DualStartIters = s.dualStartIters
@@ -592,21 +606,25 @@ func (s *simplex) cancelled() bool {
 
 // computeReducedCosts sets s.d to the reduced costs cⱼ − aⱼᵀy of the exact
 // phase-2 costs at the current basis, y = B⁻ᵀc_B (0 on basic columns).
-// Artificial columns are skipped: they are fixed at zero whenever the dual
-// simplex runs.
+// The aⱼᵀy are summed row-wise over y's nonzeros in ascending row order
+// (pivotRow): the terms colDot adds in the same order, less its exact
+// zeros, which cannot change a sum that starts at +0. Artificial columns
+// are skipped: they are fixed at zero whenever the dual simplex runs.
 func (s *simplex) computeReducedCosts() {
 	y := s.bufY
 	for i := 0; i < s.m; i++ {
 		y[i] = s.cost[s.basis[i]]
 	}
 	s.f.btran(y)
+	cols := s.pivotRow(y)
 	for j := 0; j < s.n+s.m; j++ {
 		if s.stat[j] == statBasic {
 			s.d[j] = 0
 			continue
 		}
-		s.d[j] = s.cost[j] - s.colDot(j, y)
+		s.d[j] = s.cost[j] - s.alpha[j]
 	}
+	s.clearPivotRow(cols)
 }
 
 // dualFeasible reports whether the current basis is dual-feasible for the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -82,40 +83,70 @@ func checkSparseSolves(f *factor, probes int, fin, bin func(buf []float64) []int
 	return within, past, nil
 }
 
-// randomSparseFactor factors a random sparse nonsingular m×m basis — a
-// permuted diagonal plus up to three off-diagonals per column, which leaves
-// planOrder a bump and so gives L columns — and pushes etas for up to etas
+// randomBasis returns the columns of a random sparse m×m basis: a permuted
+// diagonal plus up to three off-diagonals per column, which leaves planOrder
+// a bump and so gives L columns. About a third of the columns are unit
+// columns e_r on their diagonal row, and unit[k] is that row (-1 for the
+// other columns). Bases drawn this way may be singular.
+func randomBasis(rng *rand.Rand, m int) (rows [][]int32, vals [][]float64, unit []int32) {
+	perm := rng.Perm(m)
+	rows = make([][]int32, m)
+	vals = make([][]float64, m)
+	unit = make([]int32, m)
+	for k := range rows {
+		rows[k] = []int32{int32(perm[k])}
+		unit[k] = -1
+		if rng.Intn(3) == 0 {
+			vals[k] = []float64{1}
+			unit[k] = int32(perm[k])
+			continue
+		}
+		vals[k] = []float64{(2 + rng.Float64()) * float64(1-2*rng.Intn(2))}
+		for e := rng.Intn(4); e > 0; e-- {
+			r := int32(rng.Intn(m))
+			if r != rows[k][0] && (len(rows[k]) < 2 || r != rows[k][1]) && (len(rows[k]) < 3 || r != rows[k][2]) {
+				rows[k] = append(rows[k], r)
+				vals[k] = append(vals[k], rng.NormFloat64())
+			}
+		}
+	}
+	return rows, vals, unit
+}
+
+// factorBasis factors the basis with the given columns, marking its unit
+// columns as such if marked is set.
+func factorBasis(rows [][]int32, vals [][]float64, unit []int32, marked bool) (*factor, error) {
+	f := newFactor(len(rows))
+	if marked {
+		copy(f.unit, unit)
+	}
+	err := f.refactorize(func(k int, w []float64) []int32 {
+		if f.unit[k] >= 0 {
+			panic("column callback called for a marked unit column")
+		}
+		for s, r := range rows[k] {
+			w[r] += vals[k][s]
+		}
+		return rows[k]
+	})
+	return f, err
+}
+
+// randomSparseFactor factors a random sparse nonsingular m×m basis from
+// randomBasis, its unit columns marked, and pushes etas for up to etas
 // random entering columns.
 func randomSparseFactor(rng *rand.Rand, m, etas int) *factor {
-	f := newFactor(m)
+	var f *factor
+	for {
+		rows, vals, unit := randomBasis(rng, m)
+		var err error
+		if f, err = factorBasis(rows, vals, unit, true); err == nil {
+			break
+		}
+	}
 	all := make([]int32, m)
 	for i := range all {
 		all[i] = int32(i)
-	}
-	for {
-		perm := rng.Perm(m)
-		rows := make([][]int32, m)
-		vals := make([][]float64, m)
-		for k := range rows {
-			rows[k] = []int32{int32(perm[k])}
-			vals[k] = []float64{(2 + rng.Float64()) * float64(1-2*rng.Intn(2))}
-			for e := rng.Intn(4); e > 0; e-- {
-				r := int32(rng.Intn(m))
-				if r != rows[k][0] && (len(rows[k]) < 2 || r != rows[k][1]) && (len(rows[k]) < 3 || r != rows[k][2]) {
-					rows[k] = append(rows[k], r)
-					vals[k] = append(vals[k], rng.NormFloat64())
-				}
-			}
-		}
-		err := f.refactorize(func(k int, w []float64) []int32 {
-			for s, r := range rows[k] {
-				w[r] += vals[k][s]
-			}
-			return rows[k]
-		})
-		if err == nil {
-			break
-		}
 	}
 	w := make([]float64, m)
 	for e := 0; e < etas; e++ {
@@ -133,6 +164,100 @@ func randomSparseFactor(rng *rand.Rand, m, etas int) *factor {
 		}
 	}
 	return f
+}
+
+// sameFactor reports the first difference between two factorizations of
+// one basis: processing order, pivot rows, diagonals, and L and U, bitwise.
+func sameFactor(a, b *factor) error {
+	for pos := 0; pos < a.m; pos++ {
+		if a.slotOfPos[pos] != b.slotOfPos[pos] || a.pivRow[pos] != b.pivRow[pos] {
+			return fmt.Errorf("position %d: slot %d row %d, against slot %d row %d", pos, a.slotOfPos[pos], a.pivRow[pos], b.slotOfPos[pos], b.pivRow[pos])
+		}
+		if math.Float64bits(a.uDiag[pos]) != math.Float64bits(b.uDiag[pos]) {
+			return fmt.Errorf("position %d: diagonal %v against %v", pos, a.uDiag[pos], b.uDiag[pos])
+		}
+		for _, c := range []struct {
+			name   string
+			ai, bi []int32
+			av, bv []float64
+		}{
+			{"L", a.lIdx[a.lPtr[pos]:a.lPtr[pos+1]], b.lIdx[b.lPtr[pos]:b.lPtr[pos+1]], a.lVal[a.lPtr[pos]:a.lPtr[pos+1]], b.lVal[b.lPtr[pos]:b.lPtr[pos+1]]},
+			{"U", a.uIdx[a.uPtr[pos]:a.uPtr[pos+1]], b.uIdx[b.uPtr[pos]:b.uPtr[pos+1]], a.uVal[a.uPtr[pos]:a.uPtr[pos+1]], b.uVal[b.uPtr[pos]:b.uPtr[pos+1]]},
+		} {
+			if len(c.ai) != len(c.bi) {
+				return fmt.Errorf("position %d: %d %s entries against %d", pos, len(c.ai), c.name, len(c.bi))
+			}
+			for k := range c.ai {
+				if c.ai[k] != c.bi[k] || math.Float64bits(c.av[k]) != math.Float64bits(c.bv[k]) {
+					return fmt.Errorf("position %d: %s entry %d is (%d, %v) against (%d, %v)", pos, c.name, k, c.ai[k], c.av[k], c.bi[k], c.bv[k])
+				}
+			}
+		}
+	}
+	if !slices.Equal(a.lCols, b.lCols) {
+		return fmt.Errorf("L columns %v against %v", a.lCols, b.lCols)
+	}
+	return nil
+}
+
+// TestUnitColumnsFactorBitwise: marking unit columns changes only the cost
+// of a refactorization. On random bases, factoring with and without the
+// marks gives the same processing order, pivot rows, diagonals, L and U
+// bits, or fails on both; the bases include unit columns whose rows other
+// columns contain, and ones where an earlier column claims a unit column's
+// row, which makes the basis singular.
+func TestUnitColumnsFactorBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	factored, shared, withL, singular := 0, 0, 0, 0
+	for trial := 0; trial < 300; trial++ {
+		m := 8 + rng.Intn(200)
+		rows, vals, unit := randomBasis(rng, m)
+		claimed := false
+		if trial%4 == 3 {
+			// The last slot, the singleton sweep's first, claims the row of a
+			// unit column before that column's turn.
+			for k := m - 2; k >= 0 && !claimed; k-- {
+				if unit[k] >= 0 {
+					rows[m-1], vals[m-1], unit[m-1] = []int32{unit[k]}, []float64{3}, -1
+					claimed = true
+				}
+			}
+		}
+		plain, errPlain := factorBasis(rows, vals, unit, false)
+		marked, errMarked := factorBasis(rows, vals, unit, true)
+		if errPlain != errMarked {
+			t.Fatalf("trial %d (m=%d, claimed=%v): %v unmarked, %v marked", trial, m, claimed, errPlain, errMarked)
+		}
+		if claimed {
+			if errPlain == nil {
+				t.Fatalf("trial %d (m=%d): a basis where a column claims a unit column's row factored", trial, m)
+			}
+			singular++
+			continue
+		}
+		if errPlain != nil {
+			continue
+		}
+		if err := sameFactor(plain, marked); err != nil {
+			t.Fatalf("trial %d (m=%d): unmarked against marked: %v", trial, m, err)
+		}
+		factored++
+		if len(marked.lCols) > 0 {
+			withL++
+		}
+		for r := range marked.unitAt {
+			if marked.unitAt[r] >= 0 && marked.rsPtr[r+1] > marked.rsPtr[r] {
+				shared++
+				break
+			}
+		}
+	}
+	t.Logf("%d bases factored (%d with a unit column's row in another column, %d with L columns), %d with a claimed unit row refused",
+		factored, shared, withL, singular)
+	if factored < 50 || shared < factored/2 || withL == 0 || singular < 50 {
+		t.Fatalf("%d bases factored, %d sharing a unit row, %d with L columns, %d claimed; the test exercises too little",
+			factored, shared, withL, singular)
+	}
 }
 
 // randomSparseVec sets k random entries of the zero vector w and returns

@@ -53,12 +53,13 @@ func TestZooRootLPsDualStart(t *testing.T) {
 	}
 }
 
-// TestZooRootsSparseSolvesBitwise: the pattern-driven FTRAN and BTRAN change
-// only speed. On three zoo roots, keeping every solve sparse, switching to
-// the dense sweep at the default m/16, and always sweeping densely take the
-// same dual pivots to the same objective bits; and at each root's optimal
-// basis, grown by an eta file, the sparse solves return the dense ones'
-// bits.
+// TestZooRootsSparseSolvesBitwise: the pattern-driven FTRAN and BTRAN and
+// the refactorization's unit-column shortcut change only speed. On three
+// zoo roots, keeping every solve sparse, switching to the dense sweep at the
+// default m/16, always sweeping densely, and refactoring every slack column
+// by elimination take the same dual pivots to the same objective bits; and
+// at each root's optimal basis, grown by an eta file, the sparse solves
+// return the dense ones' bits.
 func TestZooRootsSparseSolvesBitwise(t *testing.T) {
 	for _, model := range []string{"vgg16", "unet", "transformer"} {
 		wl, err := checkmate.Load(model, checkmate.Options{Batch: 4, CoarseSegments: 12})
@@ -72,28 +73,36 @@ func TestZooRootsSparseSolvesBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := f.Prob.LP
-		ref, refSeq := lp.DualPivots(p, -1)
+		ref, refSeq := lp.DualPivots(p, -1, false)
 		if ref.Status != lp.StatusOptimal || len(refSeq) == 0 {
 			t.Fatalf("%s: %v after %d dual pivots", model, ref.Status, len(refSeq))
 		}
-		for _, limit := range []int{0, p.NumRows()} {
-			got, seq := lp.DualPivots(p, limit)
-			if got.Status != ref.Status || got.Iters != ref.Iters || math.Float64bits(got.Obj) != math.Float64bits(ref.Obj) {
-				t.Fatalf("%s limit %d: %v in %d iterations, obj %x; default limit %v in %d, obj %x",
-					model, limit, got.Status, got.Iters, math.Float64bits(got.Obj), ref.Status, ref.Iters, math.Float64bits(ref.Obj))
+		for _, v := range []struct {
+			name    string
+			limit   int
+			noUnits bool
+		}{
+			{"sparse limit 0", 0, false},
+			{"sparse limit m", p.NumRows(), false},
+			{"no unit columns", -1, true},
+		} {
+			got, seq := lp.DualPivots(p, v.limit, v.noUnits)
+			if got.Status != ref.Status || got.Iters != ref.Iters || got.Refactors != ref.Refactors || math.Float64bits(got.Obj) != math.Float64bits(ref.Obj) {
+				t.Fatalf("%s, %s: %v in %d iterations (%d refactorizations), obj %x; default %v in %d (%d), obj %x",
+					model, v.name, got.Status, got.Iters, got.Refactors, math.Float64bits(got.Obj), ref.Status, ref.Iters, ref.Refactors, math.Float64bits(ref.Obj))
 			}
 			if len(seq) != len(refSeq) {
-				t.Fatalf("%s limit %d: %d dual pivots, default limit %d", model, limit, len(seq), len(refSeq))
+				t.Fatalf("%s, %s: %d dual pivots, default %d", model, v.name, len(seq), len(refSeq))
 			}
 			for k := range seq {
 				if seq[k] != refSeq[k] {
-					t.Fatalf("%s limit %d: pivot %d is (leave, enter) %v, default limit %v", model, limit, k, seq[k], refSeq[k])
+					t.Fatalf("%s, %s: pivot %d is (leave, enter) %v, default %v", model, v.name, k, seq[k], refSeq[k])
 				}
 			}
 		}
 		if err := lp.SparseSolvesMatchDense(p, ref.Basis, 1); err != nil {
 			t.Errorf("%s: %v", model, err)
 		}
-		t.Logf("%s: %d dual pivots, m=%d", model, len(refSeq), p.NumRows())
+		t.Logf("%s: %d dual pivots, %d refactorizations, m=%d", model, len(refSeq), ref.Refactors, p.NumRows())
 	}
 }

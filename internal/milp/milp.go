@@ -739,6 +739,7 @@ func (s *search) expand(ws *workerState, nd *node) {
 	sol := ws.solver.Solve(work, lpopt)
 	rootSpan.SetAttr("iters", sol.Iters)
 	rootSpan.SetAttr("dual_start_iters", sol.DualStartIters)
+	rootSpan.SetAttr("refactors", sol.Refactors)
 	rootSpan.SetAttr("status", sol.Status.String())
 	rootSpan.End()
 

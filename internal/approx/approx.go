@@ -44,11 +44,6 @@ type Options struct {
 	// (feasibility is in r.Feasible). Iterations whose LP failed are
 	// skipped. Called from the solving goroutine; must be fast.
 	Progress func(eps float64, r *Result)
-	// NoWarmStart disables the ε-to-ε simplex basis chaining in
-	// SolveWithSearch, cold-solving every LP (benchmarks/ablation only —
-	// chaining never changes results, the ε budgets differ only in one
-	// right-hand side).
-	NoWarmStart bool
 }
 
 func (o Options) withDefaults() Options {
@@ -240,7 +235,7 @@ func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*
 			}
 			continue
 		}
-		if basis != nil && !opt.NoWarmStart {
+		if basis != nil {
 			chain = basis
 		}
 		if opt.Progress != nil {

@@ -2,6 +2,7 @@ package approx
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/autodiff"
@@ -140,24 +141,55 @@ func TestDeterministicRoundingIsDeterministic(t *testing.T) {
 	}
 }
 
+// coldSweep is the ε-search without basis chaining, driven through the
+// formulation: it solves each ε of EpsGrid cold on one formulation and
+// rounds it at the default threshold, stopping where the search stops (at
+// the first infeasible LP, or once its best rounding reaches the ideal
+// cost). It returns the best feasible rounding, nil if none, and the
+// simplex iterations of every LP it solved.
+func coldSweep(t *testing.T, inst core.Instance) (best *Result, iters int64) {
+	t.Helper()
+	f, err := core.Build(inst, core.BuildOptions{FrontierAdvancing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold := Options{}.withDefaults().Threshold
+	for _, eps := range EpsGrid() {
+		f.SetBudget(DeflatedBudget(inst.Budget, eps))
+		rel, err := f.Relax(context.Background(), nil)
+		iters += int64(rel.Iters)
+		if errors.Is(err, core.ErrInfeasibleRelaxation) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("ε=%v: %v", eps, err)
+		}
+		r := finish(inst, core.TwoPhaseRound(inst.G, rel.FS, threshold, nil), rel.Obj)
+		if r.Feasible && (best == nil || r.Cost < best.Cost) {
+			best = r
+			if r.Sched.Recomputations() == 0 {
+				break
+			}
+		}
+	}
+	return best, iters
+}
+
 // TestSearchWarmStartChaining: the ε-search must chain bases across its LP
 // solves — most points warm-start — without degrading the rounding. Warm
 // and cold solves can land on different (equally optimal) vertices of these
 // degenerate LPs, and different vertices round differently, so the check is
 // bounded quality, not equality: vertex polish keeps the chained result
-// within a few percent of the cold search.
+// within a few percent of the cold sweep.
 func TestSearchWarmStartChaining(t *testing.T) {
 	inst := trainInstance(t, 10, 9)
 	warm, err := SolveWithSearch(inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveWithSearch(inst, Options{NoWarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Feasible || !cold.Feasible {
-		t.Fatalf("search returned infeasible best: warm=%v cold=%v", warm.Feasible, cold.Feasible)
+	cold, coldIters := coldSweep(t, inst)
+	if !warm.Feasible || cold == nil {
+		t.Fatalf("search returned infeasible best: warm=%v, cold found a feasible rounding: %v", warm.Feasible, cold != nil)
 	}
 	if warm.Cost > cold.Cost*1.10+1e-9 {
 		t.Fatalf("warm-chained search cost %v degraded >10%% vs cold %v", warm.Cost, cold.Cost)
@@ -168,12 +200,9 @@ func TestSearchWarmStartChaining(t *testing.T) {
 	if warm.Search.WarmHits == 0 {
 		t.Fatal("no ε LP warm-started from the previous basis")
 	}
-	if cold.Search.WarmHits != 0 {
-		t.Fatalf("NoWarmStart search still warm-started %d LPs", cold.Search.WarmHits)
-	}
-	if warm.Search.SimplexIters >= cold.Search.SimplexIters {
+	if warm.Search.SimplexIters >= coldIters {
 		t.Fatalf("basis chaining did not reduce simplex work: %d warm vs %d cold iters",
-			warm.Search.SimplexIters, cold.Search.SimplexIters)
+			warm.Search.SimplexIters, coldIters)
 	}
 	if err := warm.Sched.Validate(inst.G, true); err != nil {
 		t.Fatal(err)

@@ -198,7 +198,7 @@ func BenchmarkILPSolve(b *testing.B) {
 	g := trainGraph(b, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.SolveILP(core.Instance{G: g, Budget: 6}, core.SolveOptions{TimeLimit: 30 * time.Second})
+		res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: 6}, core.SolveOptions{TimeLimit: 30 * time.Second})
 		if err != nil || res.Sched == nil {
 			b.Fatalf("err=%v", err)
 		}
@@ -208,7 +208,7 @@ func BenchmarkILPSolve(b *testing.B) {
 func BenchmarkTwoPhaseRounding(b *testing.B) {
 	g := trainGraph(b, 10)
 	inst := core.Instance{G: g, Budget: 8}
-	fs, _, err := core.SolveRelaxation(inst, false)
+	fs, _, err := core.SolveRelaxation(context.Background(), inst, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func BenchmarkApproxEndToEnd(b *testing.B) {
 	inst := core.Instance{G: g, Budget: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := approx.Solve(inst, approx.Options{}); err != nil {
+		if _, err := approx.Solve(context.Background(), inst, approx.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func BenchmarkMILPWarmStart(b *testing.B) {
 	}{{"warm", false}, {"cold", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveILP(core.Instance{G: g, Budget: budget}, core.SolveOptions{
+				res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget}, core.SolveOptions{
 					TimeLimit: 60 * time.Second, DisableRounding: true, ColdStart: mode.cold,
 				})
 				if err != nil || res.Sched == nil {
@@ -403,7 +403,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 			for _, budget := range budgets {
 				o := opt
 				o.ColdStart = true
-				if _, err := core.SolveILP(core.Instance{G: g, Budget: budget}, o); err != nil {
+				if _, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget}, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -421,7 +421,7 @@ func BenchmarkParallelBB(b *testing.B) {
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveILP(core.Instance{G: g, Budget: budget}, core.SolveOptions{
+				res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget}, core.SolveOptions{
 					TimeLimit: 60 * time.Second, DisableRounding: true, Threads: threads,
 				})
 				if err != nil || res.Sched == nil {
@@ -448,7 +448,7 @@ func BenchmarkAblationFreeLinearization(b *testing.B) {
 	}{{"disaggregated", false}, {"aggregated-paper", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveILP(inst, core.SolveOptions{
+				res, err := core.SolveILP(context.Background(), inst, core.SolveOptions{
 					TimeLimit: 60 * time.Second, AggregatedFree: mode.agg,
 				})
 				if err != nil || res.Sched == nil {
@@ -495,7 +495,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 	}{{"partitioned", false}, {"unpartitioned", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveILP(inst, core.SolveOptions{
+				res, err := core.SolveILP(context.Background(), inst, core.SolveOptions{
 					TimeLimit: 60 * time.Second, Unpartitioned: mode.unpart,
 				})
 				if err != nil {
@@ -530,7 +530,7 @@ func BenchmarkOffloadVsRemat(b *testing.B) {
 	})
 	b.Run("remat-ilp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := core.SolveILP(core.Instance{G: g, Budget: budget, Overhead: wl.Overhead},
+			res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget, Overhead: wl.Overhead},
 				core.SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0.05})
 			if err != nil || res.Sched == nil {
 				b.Fatalf("err=%v", err)
@@ -558,7 +558,7 @@ func BenchmarkAlternativesAtBudget(b *testing.B) {
 
 	b.Run("remat-ilp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := core.SolveILP(core.Instance{G: wl.Graph, Budget: budget, Overhead: wl.Overhead},
+			res, err := core.SolveILP(context.Background(), core.Instance{G: wl.Graph, Budget: budget, Overhead: wl.Overhead},
 				core.SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0.05})
 			if err != nil || res.Sched == nil {
 				b.Fatalf("err=%v", err)

@@ -19,9 +19,6 @@
 // typed progress events — Started, Incumbent, BoundImproved, SweepPoint,
 // Done — while the solver runs, exposing the anytime incumbent/bound
 // trajectory of the branch-and-bound search.
-//
-// The pre-Solve entry points (SolveOptimal, SolveApprox, SolveSweep and
-// their Ctx variants) remain as deprecated wrappers.
 package checkmate
 
 import (
@@ -499,44 +496,6 @@ type Schedule struct {
 // checkpoint-all policy (1.0 = no recomputation cost).
 func (s *Schedule) Overhead() float64 { return s.Cost / s.IdealCost }
 
-// SolveOptimal solves the MILP of paper Section 4.7 at the given budget.
-// A budget below MinBudget or an over-constrained instance returns an error.
-//
-// Deprecated: use Solve with a Request (Method Optimal is the default).
-func (w *Workload) SolveOptimal(budget int64, opt SolveOptions) (*Schedule, error) {
-	return w.SolveOptimalCtx(context.Background(), budget, opt)
-}
-
-// SolveOptimalCtx is SolveOptimal with cancellation: when ctx is cancelled
-// the branch-and-bound search stops promptly and ctx.Err() is returned.
-//
-// Deprecated: use Solve with a Request (Method Optimal is the default).
-func (w *Workload) SolveOptimalCtx(ctx context.Context, budget int64, opt SolveOptions) (*Schedule, error) {
-	return Solve(ctx, Request{
-		Workload: w, Method: Optimal, Budget: budget,
-		TimeLimit: opt.TimeLimit, RelGap: opt.RelGap,
-		Unpartitioned: opt.Unpartitioned, Threads: opt.Threads,
-	})
-}
-
-// SolveApprox runs the two-phase LP rounding approximation (Section 5) with
-// the ε-search refinement of Appendix D.
-//
-// Deprecated: use Solve with Request.Method Approx.
-func (w *Workload) SolveApprox(budget int64) (*Schedule, error) {
-	return w.SolveApproxCtx(context.Background(), budget)
-}
-
-// SolveApproxCtx is SolveApprox with cancellation: the ε-search and its LP
-// relaxations stop promptly when ctx is cancelled, and the default 60 s
-// time limit bounds the search even on a background context.
-//
-// Deprecated: use Solve with Request.Method Approx; Request.TimeLimit
-// bounds the ε-search.
-func (w *Workload) SolveApproxCtx(ctx context.Context, budget int64) (*Schedule, error) {
-	return Solve(ctx, Request{Workload: w, Method: Approx, Budget: budget})
-}
-
 func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, res *core.Result) (*Schedule, error) {
 	_, span := telemetry.StartSpan(ctx, "plan")
 	defer span.End()
@@ -567,7 +526,8 @@ func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, res 
 	return out, nil
 }
 
-// SweepPoint is one budget's outcome within SolveSweep.
+// SweepPoint is one budget's outcome within a sweep request
+// (Request.Budgets), delivered as Event.Point.
 type SweepPoint struct {
 	Budget int64
 	// Schedule is nil when the budget is infeasible or the solver hit its
@@ -575,36 +535,6 @@ type SweepPoint struct {
 	// ErrInfeasible/ErrSolveLimit sentinel.
 	Schedule *Schedule
 	Err      error
-}
-
-// SolveSweep solves the workload at several budgets — the paper's Figure 5
-// curve — warm-starting each solve from its neighbor: budgets are processed
-// in decreasing order, each MILP seeded with the previous point's root basis
-// (dual-simplex reoptimization instead of a cold solve) and the previous
-// schedule as incumbent. Points are returned aligned with budgets, which may
-// be in any order. Per-point infeasibility is recorded in the point, not
-// returned as an error; the error return covers whole-sweep failures
-// (cancellation, malformed instance).
-//
-// Deprecated: use Solve with Request.Budgets; each point arrives as a
-// SweepPoint event.
-func (w *Workload) SolveSweep(ctx context.Context, budgets []int64, opt SolveOptions) ([]SweepPoint, error) {
-	// Preserve the pre-Solve contract: an empty sweep is trivially complete,
-	// not a malformed request.
-	if len(budgets) == 0 {
-		return []SweepPoint{}, nil
-	}
-	req := Request{
-		Workload: w, Method: Optimal, Budgets: budgets,
-		TimeLimit: opt.TimeLimit, RelGap: opt.RelGap,
-		Unpartitioned: opt.Unpartitioned, Threads: opt.Threads,
-	}
-	_, points, err := w.solveSweepRequest(ctx, req, newEmitter(req))
-	// An all-infeasible sweep is a per-point outcome, not a sweep failure.
-	if err != nil && !errors.Is(err, ErrInfeasible) {
-		return nil, err
-	}
-	return points, nil
 }
 
 // BaselineTarget adapts the workload for package baselines.

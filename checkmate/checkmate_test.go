@@ -2,8 +2,6 @@ package checkmate
 
 import (
 	"context"
-	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -34,7 +32,7 @@ func TestEndToEndSmallModel(t *testing.T) {
 		t.Fatalf("degenerate workload: min %d >= peak %d", minB, peak)
 	}
 	budget := minB + (peak-minB)*2/3
-	sched, err := wl.SolveOptimal(budget, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0.05})
+	sched, err := Solve(context.Background(), Request{Workload: wl, Budget: budget, TimeLimit: 30 * time.Second, RelGap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +57,7 @@ func TestApproxPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := wl.CheckpointAllPeak()
-	sched, err := wl.SolveApprox(peak * 3 / 4)
+	sched, err := Solve(context.Background(), Request{Workload: wl, Method: Approx, Budget: peak * 3 / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +74,7 @@ func TestInfeasibleBudgetErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wl.SolveOptimal(1, SolveOptions{TimeLimit: 10 * time.Second}); err == nil {
+	if _, err := Solve(context.Background(), Request{Workload: wl, Budget: 1, TimeLimit: 10 * time.Second}); err == nil {
 		t.Fatal("budget of 1 byte accepted")
 	}
 }
@@ -137,61 +135,5 @@ func TestDevicePresetsChangeSchedules(t *testing.T) {
 	}
 	if a.Graph.TotalCost() == b.Graph.TotalCost() {
 		t.Fatal("v100 and cpu cost models indistinguishable")
-	}
-}
-
-// TestSolveSweepMatchesPointSolves: the warm-started budget sweep must agree
-// with independent per-budget solves on feasibility and optimal cost, and an
-// infeasible low budget must be reported per point, not fail the sweep.
-func TestSolveSweepMatchesPointSolves(t *testing.T) {
-	wl, err := Load("linear32", Options{Batch: 1, CoarseSegments: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := wl.CheckpointAllPeak()
-	minB := wl.MinBudget()
-	budgets := []int64{
-		minB / 2, // infeasible by construction
-		minB + (peak-minB)/4,
-		minB + (peak-minB)/2,
-		peak,
-	}
-	opt := SolveOptions{TimeLimit: 60 * time.Second}
-	points, err := wl.SolveSweep(context.Background(), budgets, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(budgets) {
-		t.Fatalf("got %d points for %d budgets", len(points), len(budgets))
-	}
-	if points[0].Err == nil || !errors.Is(points[0].Err, ErrInfeasible) {
-		t.Fatalf("sub-minimum budget: want ErrInfeasible, got %v", points[0].Err)
-	}
-	for i := 1; i < len(points); i++ {
-		pt := points[i]
-		if pt.Err != nil || pt.Schedule == nil {
-			t.Fatalf("budget %d: %v", pt.Budget, pt.Err)
-		}
-		solo, err := wl.SolveOptimal(pt.Budget, opt)
-		if err != nil {
-			t.Fatalf("budget %d solo: %v", pt.Budget, err)
-		}
-		if math.Abs(pt.Schedule.Cost-solo.Cost) > 1e-6*(1+solo.Cost) {
-			t.Fatalf("budget %d: sweep cost %v != solo cost %v", pt.Budget, pt.Schedule.Cost, solo.Cost)
-		}
-		if pt.Schedule.PeakBytes > pt.Budget {
-			t.Fatalf("budget %d: schedule peak %d exceeds budget", pt.Budget, pt.Schedule.PeakBytes)
-		}
-	}
-	// The sweep solves in decreasing budget order; warm starts should be
-	// accepted at the later (tighter) points.
-	var warm int64
-	for _, pt := range points {
-		if pt.Schedule != nil {
-			warm += pt.Schedule.Solver.WarmHits
-		}
-	}
-	if warm == 0 {
-		t.Error("no warm-start hits across the sweep")
 	}
 }

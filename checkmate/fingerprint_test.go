@@ -59,10 +59,9 @@ func TestSolveCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := wl.SolveOptimalCtx(ctx, 1<<30, SolveOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveOptimalCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := wl.SolveApproxCtx(ctx, 1<<30); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveApproxCtx err = %v, want context.Canceled", err)
+	for _, m := range []Method{Optimal, Approx} {
+		if _, err := Solve(ctx, Request{Workload: wl, Method: m, Budget: 1 << 30}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s solve err = %v, want context.Canceled", m, err)
+		}
 	}
 }

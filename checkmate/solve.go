@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -330,9 +329,6 @@ func (r Request) Key() graph.Fingerprint {
 // feasible budget's, and ErrInfeasible is returned when no budget was
 // feasible. Per-point infeasibility is reported in the points, never as
 // the error.
-//
-// The deprecated SolveOptimal/SolveApprox/SolveSweep entry points are thin
-// wrappers over this function.
 func Solve(ctx context.Context, req Request) (*Schedule, error) {
 	w := req.Workload
 	if w == nil {
@@ -356,16 +352,12 @@ func Solve(ctx context.Context, req Request) (*Schedule, error) {
 		if method != Optimal {
 			err = fmt.Errorf("checkmate: sweep requests (Request.Budgets) require Method %q, got %q", Optimal, method)
 		} else {
-			var points []SweepPoint
-			sched, points, err = w.solveSweepRequest(ctx, req, em)
+			var budget int64
 			// The terminal Done must name the budget of the schedule it
 			// carries — the smallest feasible point's — not whichever point
 			// happened to solve last.
-			for i := range points {
-				if sched != nil && points[i].Schedule == sched {
-					doneBudget = points[i].Budget
-					break
-				}
+			if sched, budget, err = w.solveSweepRequest(ctx, req, em); sched != nil {
+				doneBudget = budget
 			}
 		}
 	case req.Budget <= 0:
@@ -409,7 +401,7 @@ func (w *Workload) Solve(ctx context.Context, req Request) (*Schedule, error) {
 // solveOptimalRequest runs the MILP path with progress hooks attached.
 func (w *Workload) solveOptimalRequest(ctx context.Context, req Request, em *emitter) (*Schedule, error) {
 	opt := req.options()
-	res, err := core.SolveILPCtx(ctx, core.Instance{G: w.Graph, Budget: req.Budget, Overhead: w.Overhead}, core.SolveOptions{
+	res, err := core.SolveILP(ctx, core.Instance{G: w.Graph, Budget: req.Budget, Overhead: w.Overhead}, core.SolveOptions{
 		TimeLimit:     opt.TimeLimit,
 		RelGap:        opt.RelGap,
 		Unpartitioned: opt.Unpartitioned,
@@ -440,7 +432,7 @@ func (w *Workload) solveIntervalRequest(ctx context.Context, req Request, em *em
 		iopt.OnIncumbent = hooks.Incumbent
 		iopt.OnBound = hooks.Bound
 	}
-	res, err := interval.SolveCtx(ctx, core.Instance{G: w.Graph, Budget: req.Budget, Overhead: w.Overhead}, iopt)
+	res, err := interval.Solve(ctx, core.Instance{G: w.Graph, Budget: req.Budget, Overhead: w.Overhead}, iopt)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +466,7 @@ func (w *Workload) solveApproxRequest(ctx context.Context, req Request, em *emit
 	defer cancel()
 	em.started(req.Budget, 0, 0)
 	best := math.Inf(1)
-	r, err := approx.SolveWithSearchCtx(tctx, core.Instance{G: w.Graph, Budget: req.Budget, Overhead: w.Overhead}, approx.Options{
+	r, err := approx.SolveWithSearch(tctx, core.Instance{G: w.Graph, Budget: req.Budget, Overhead: w.Overhead}, approx.Options{
 		Progress: func(eps float64, r *approx.Result) {
 			if r.Feasible && r.Cost < best {
 				best = r.Cost
@@ -597,13 +589,14 @@ func baselineCtxErr(err error) error {
 
 // solveSweepRequest solves every budget of a sweep request warm-started,
 // emitting a SweepPoint event per completed budget, and returns the
-// schedule of the smallest feasible budget along with every point (aligned
-// with req.Budgets — the deprecated SolveSweep wrapper consumes the slice
-// directly, without round-tripping it through the event machinery).
-func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitter) (*Schedule, []SweepPoint, error) {
+// schedule of the smallest feasible budget along with that budget.
+func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitter) (*Schedule, int64, error) {
 	opt := req.options()
-	points := make([]SweepPoint, len(req.Budgets))
-	var finishErr error
+	var (
+		best       *Schedule
+		bestBudget int64
+		finishErr  error
+	)
 	hooks := em.coreHooks()
 	hooks.SweepPoint = func(i int, budget int64, res *core.Result) {
 		pt := SweepPoint{Budget: budget}
@@ -611,6 +604,11 @@ func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitt
 		switch {
 		case err == nil:
 			pt.Schedule = s
+			// The sweep's headline result: the tightest budget that still
+			// admits a schedule.
+			if best == nil || budget < bestBudget {
+				best, bestBudget = s, budget
+			}
 		default:
 			pt.Err = err
 			// A solver-returned-invalid-schedule failure is a whole-sweep
@@ -619,7 +617,6 @@ func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitt
 				finishErr = err
 			}
 		}
-		points[i] = pt
 		em.sweepPoint(i, &pt)
 	}
 	_, err := core.SweepILP(ctx, core.Instance{G: w.Graph, Overhead: w.Overhead}, req.Budgets, core.SolveOptions{
@@ -630,24 +627,15 @@ func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitt
 		Progress:      hooks,
 	})
 	if err != nil {
-		return nil, points, err
+		return nil, 0, err
 	}
 	if finishErr != nil {
-		return nil, points, finishErr
+		return nil, 0, finishErr
 	}
-	// The sweep's headline result: the tightest budget that still admits a
-	// schedule.
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
+	if best == nil {
+		return nil, 0, fmt.Errorf("%w: no feasible budget among %d sweep points", ErrInfeasible, len(req.Budgets))
 	}
-	sort.Slice(order, func(a, b int) bool { return points[order[a]].Budget < points[order[b]].Budget })
-	for _, i := range order {
-		if points[i].Schedule != nil {
-			return points[i].Schedule, points, nil
-		}
-	}
-	return nil, points, fmt.Errorf("%w: no feasible budget among %d sweep points", ErrInfeasible, len(points))
+	return best, bestBudget, nil
 }
 
 // isPointError reports whether err is a per-point outcome (infeasible or

@@ -108,26 +108,6 @@ func TestSolveEventOrdering(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesDeprecatedWrappers: the unified entry point and the old
-// wrappers must agree — they are the same solve.
-func TestSolveMatchesDeprecatedWrappers(t *testing.T) {
-	wl := loadTest(t, 8)
-	budget := tightBudget(wl)
-	opt := SolveOptions{TimeLimit: 30 * time.Second}
-	unified, err := Solve(context.Background(), Request{Workload: wl, Budget: budget, TimeLimit: opt.TimeLimit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the wrapper must keep agreeing with Solve
-	wrapped, err := wl.SolveOptimal(budget, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(unified.Cost-wrapped.Cost) > 1e-6*(1+unified.Cost) {
-		t.Fatalf("Solve cost %v != SolveOptimal cost %v", unified.Cost, wrapped.Cost)
-	}
-}
-
 func TestSolveApproxHonorsTimeLimit(t *testing.T) {
 	wl := loadTest(t, 10)
 	start := time.Now()
@@ -196,16 +176,25 @@ func TestSolveBaselineMethod(t *testing.T) {
 	}
 }
 
-// TestSolveSweepRequest: Request.Budgets streams one SweepPoint per budget
-// and returns the smallest feasible budget's schedule.
+// TestSolveSweepRequest: Request.Budgets streams one SweepPoint per budget,
+// reports an infeasible budget in its point instead of failing the sweep,
+// agrees with independent per-budget solves on optimal cost, and returns the
+// smallest feasible budget's schedule.
 func TestSolveSweepRequest(t *testing.T) {
 	wl := loadTest(t, 6)
 	peak := wl.CheckpointAllPeak()
 	minB := wl.MinBudget()
-	budgets := []int64{minB / 2, peak, minB + (peak-minB)/3}
+	// Points must align with the budgets whatever their order.
+	budgets := []int64{
+		minB / 2, // infeasible by construction
+		peak,
+		minB + (peak-minB)/4,
+		minB + (peak-minB)/2,
+	}
+	const limit = 60 * time.Second
 	var pts []Event
 	sched, err := Solve(context.Background(), Request{
-		Workload: wl, Budgets: budgets, TimeLimit: 60 * time.Second,
+		Workload: wl, Budgets: budgets, TimeLimit: limit,
 		Observer: ObserverFunc(func(e Event) {
 			if e.Kind == EventSweepPoint {
 				pts = append(pts, e)
@@ -218,28 +207,41 @@ func TestSolveSweepRequest(t *testing.T) {
 	if len(pts) != len(budgets) {
 		t.Fatalf("%d sweep-point events for %d budgets", len(pts), len(budgets))
 	}
-	seen := map[int]bool{}
+	points := make([]*SweepPoint, len(budgets))
 	for _, e := range pts {
-		if e.Point == nil || e.Point.Budget != budgets[e.Index] {
+		if e.Point == nil || e.Index < 0 || e.Index >= len(budgets) || e.Point.Budget != budgets[e.Index] || points[e.Index] != nil {
 			t.Fatalf("sweep-point event misaligned: %+v", e)
 		}
-		seen[e.Index] = true
+		points[e.Index] = e.Point
 	}
-	if len(seen) != len(budgets) {
-		t.Fatalf("sweep-point indices incomplete: %v", seen)
+	if !errors.Is(points[0].Err, ErrInfeasible) {
+		t.Fatalf("sub-minimum budget: want ErrInfeasible, got %v", points[0].Err)
 	}
-	// Smallest feasible budget is budgets[2]; its schedule is the result.
-	var smallest *SweepPoint
-	for _, e := range pts {
-		if e.Index == 2 {
-			smallest = e.Point
+	var warm int64
+	for _, pt := range points[1:] {
+		if pt.Err != nil || pt.Schedule == nil {
+			t.Fatalf("budget %d: %v", pt.Budget, pt.Err)
 		}
+		solo, err := Solve(context.Background(), Request{Workload: wl, Budget: pt.Budget, TimeLimit: limit})
+		if err != nil {
+			t.Fatalf("budget %d solo: %v", pt.Budget, err)
+		}
+		if math.Abs(pt.Schedule.Cost-solo.Cost) > 1e-6*(1+solo.Cost) {
+			t.Fatalf("budget %d: sweep cost %v != solo cost %v", pt.Budget, pt.Schedule.Cost, solo.Cost)
+		}
+		if pt.Schedule.PeakBytes > pt.Budget {
+			t.Fatalf("budget %d: schedule peak %d exceeds budget", pt.Budget, pt.Schedule.PeakBytes)
+		}
+		warm += pt.Schedule.Solver.WarmHits
 	}
-	if smallest.Schedule == nil {
-		t.Fatalf("budget %d unexpectedly infeasible: %v", budgets[2], smallest.Err)
+	// The sweep solves in decreasing budget order; warm starts should be
+	// accepted at the later (tighter) points.
+	if warm == 0 {
+		t.Error("no warm-start hits across the sweep")
 	}
-	if sched != smallest.Schedule {
-		t.Fatalf("Solve returned %p, want smallest feasible budget's schedule %p", sched, smallest.Schedule)
+	// The smallest feasible budget is budgets[2]; its schedule is the result.
+	if sched != points[2].Schedule {
+		t.Fatalf("Solve returned %p, want smallest feasible budget's schedule %p", sched, points[2].Schedule)
 	}
 }
 
@@ -319,15 +321,5 @@ func TestRequestKeyDistinguishesMethods(t *testing.T) {
 	explicit := Request{Workload: wl, Budget: budget, Method: Baseline, Baseline: "checkpoint-all"}.Key().String()
 	if explicit != keys["baseline"] {
 		t.Fatalf("default baseline key %s != explicit checkpoint-all key %s", keys["baseline"], explicit)
-	}
-}
-
-// TestSolveSweepEmptyBudgets pins the deprecated wrapper's compatibility
-// contract: an empty sweep returns empty points, not an error.
-func TestSolveSweepEmptyBudgets(t *testing.T) {
-	wl := loadTest(t, 8)
-	points, err := wl.SolveSweep(context.Background(), nil, SolveOptions{})
-	if err != nil || len(points) != 0 {
-		t.Fatalf("empty sweep: points=%v err=%v", points, err)
 	}
 }

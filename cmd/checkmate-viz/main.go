@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/checkmate"
-	"repro/internal/graph"
 )
 
 func main() {
@@ -78,7 +77,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-	_ = graph.NodeID(0)
 }
 
 func fatal(err error) {

@@ -87,18 +87,9 @@ type SearchStats struct {
 	DualStartIters int64
 }
 
-// Solve runs two-phase rounding once at the configured ε.
-//
-// Deprecated: use SolveCtx. This wrapper cannot be cancelled — it mints its
-// own background context — so a caller with a deadline or a request context
-// gets neither.
-func Solve(inst core.Instance, opt Options) (*Result, error) {
-	return SolveCtx(context.Background(), inst, opt)
-}
-
-// SolveCtx is Solve with cancellation: the underlying LP relaxation stops
-// promptly when ctx is cancelled and ctx.Err() is returned.
-func SolveCtx(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
+// Solve runs two-phase rounding once at the configured ε. The underlying LP
+// relaxation stops promptly when ctx is cancelled and ctx.Err() is returned.
+func Solve(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	f, err := build(ctx, inst)
 	if err != nil {
@@ -156,16 +147,6 @@ func solveAtEps(ctx context.Context, f *core.Formulation, inst core.Instance, op
 	return finish(inst, s, rel.Obj), rel.Basis, nil
 }
 
-// SolveWithSearch sweeps ε over [0, 0.5] and returns the cheapest schedule
-// feasible at the true budget (the refinement suggested in Appendix D).
-//
-// Deprecated: use SolveWithSearchCtx. This wrapper cannot be cancelled — it
-// mints its own background context — so a caller with a deadline or a
-// request context gets neither.
-func SolveWithSearch(inst core.Instance, opt Options) (*Result, error) {
-	return SolveWithSearchCtx(context.Background(), inst, opt)
-}
-
 // EpsGrid returns the ε points SolveWithSearch sweeps, in the increasing
 // order it solves them.
 func EpsGrid() []float64 {
@@ -178,8 +159,9 @@ func DeflatedBudget(budget int64, eps float64) int64 {
 	return int64(float64(budget) * (1 - eps))
 }
 
-// SolveWithSearchCtx is SolveWithSearch with cancellation: the ε sweep stops
-// between (and inside) LP solves once ctx is cancelled.
+// SolveWithSearch sweeps ε over [0, 0.5] and returns the cheapest schedule
+// feasible at the true budget (the refinement suggested in Appendix D). The
+// ε sweep stops between (and inside) LP solves once ctx is cancelled.
 //
 // The ε points run in increasing order — decreasing deflated budget — and
 // each LP warm-starts from the previous point's optimal basis: the ε LPs
@@ -201,7 +183,7 @@ func DeflatedBudget(budget int64, eps float64) int64 {
 //
 // The returned Result's Search field records the chain's LP work, the
 // infeasible LPs included.
-func SolveWithSearchCtx(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
+func SolveWithSearch(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	f, err := build(ctx, inst)
 	if err != nil {
@@ -294,7 +276,7 @@ func Samples(ctx context.Context, inst core.Instance, opt Options) (det *Result,
 	opt = opt.withDefaults()
 	deflated := inst
 	deflated.Budget = DeflatedBudget(inst.Budget, opt.Epsilon)
-	fs, lpObj, err := core.SolveRelaxationCtx(ctx, deflated, false)
+	fs, lpObj, err := core.SolveRelaxation(ctx, deflated, false)
 	if err != nil {
 		return nil, nil, err
 	}

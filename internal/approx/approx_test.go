@@ -29,7 +29,7 @@ func trainInstance(t *testing.T, L int, budget int64) core.Instance {
 
 func TestDeterministicRoundingFeasibleAndValid(t *testing.T) {
 	inst := trainInstance(t, 8, 8)
-	r, err := Solve(inst, Options{})
+	r, err := Solve(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,14 @@ func TestApproximationNearOptimal(t *testing.T) {
 		maxRatio float64
 	}{{6, 2.0}, {8, 1.35}, {10, 1.2}} {
 		inst := trainInstance(t, 8, tc.budget)
-		opt, err := core.SolveILP(inst, core.SolveOptions{})
+		opt, err := core.SolveILP(context.Background(), inst, core.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if opt.Status != milp.StatusOptimal {
 			t.Fatalf("budget %d: ILP status %v", tc.budget, opt.Status)
 		}
-		r, err := SolveWithSearch(inst, Options{})
+		r, err := SolveWithSearch(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("budget %d: %v", tc.budget, err)
 		}
@@ -77,11 +77,11 @@ func TestApproximationNearOptimal(t *testing.T) {
 
 func TestEpsilonDeflation(t *testing.T) {
 	inst := trainInstance(t, 8, 10)
-	tight, err := Solve(inst, Options{Epsilon: 0.4})
+	tight, err := Solve(context.Background(), inst, Options{Epsilon: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Solve(inst, Options{Epsilon: 1e-9})
+	loose, err := Solve(context.Background(), inst, Options{Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestEpsilonDeflation(t *testing.T) {
 
 func TestRandomizedRounding(t *testing.T) {
 	inst := trainInstance(t, 6, 8)
-	r, err := Solve(inst, Options{Randomized: true, Samples: 30, Seed: 1})
+	r, err := Solve(context.Background(), inst, Options{Randomized: true, Samples: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestSamplesForFigure8(t *testing.T) {
 
 func TestDeterministicRoundingIsDeterministic(t *testing.T) {
 	inst := trainInstance(t, 7, 8)
-	a, err := Solve(inst, Options{})
+	a, err := Solve(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(inst, Options{})
+	b, err := Solve(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func coldSweep(t *testing.T, inst core.Instance) (best *Result, iters int64) {
 // within a few percent of the cold sweep.
 func TestSearchWarmStartChaining(t *testing.T) {
 	inst := trainInstance(t, 10, 9)
-	warm, err := SolveWithSearch(inst, Options{})
+	warm, err := SolveWithSearch(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestSearchStopsAtFirstInfeasibleEps(t *testing.T) {
 	lo, hi := wl.MinBudget(), wl.CheckpointAllPeak()
 	inst := core.Instance{G: wl.Graph, Budget: lo + int64(0.3*float64(hi-lo)), Overhead: wl.Overhead}
 	ctx := context.Background()
-	got, err := approx.SolveWithSearchCtx(ctx, inst, approx.Options{})
+	got, err := approx.SolveWithSearch(ctx, inst, approx.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func referenceSweep(t *testing.T, inst core.Instance) sweep {
 func checkAgainstReference(t *testing.T, inst core.Instance) (lps int, stopped bool) {
 	t.Helper()
 	ref := referenceSweep(t, inst)
-	got, err := approx.SolveWithSearchCtx(context.Background(), inst, approx.Options{})
+	got, err := approx.SolveWithSearch(context.Background(), inst, approx.Options{})
 	if ref.best == nil {
 		if !errors.Is(err, approx.ErrNoFeasibleRounding) {
 			t.Fatalf("no reference rounding fits, search returned %v", err)

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -265,7 +266,7 @@ func TestILPDominatesBaselines(t *testing.T) {
 	}
 	pts = append(pts, APSqrtN(tg), LinearizedSqrtN(tg), LinearizedGreedy(tg, 3))
 	for _, p := range pts {
-		res, err := core.SolveILP(core.Instance{G: g, Budget: int64(p.PeakBytes)}, core.SolveOptions{})
+		res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: int64(p.PeakBytes)}, core.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

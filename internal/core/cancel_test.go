@@ -31,7 +31,7 @@ func TestSolveILPCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := SolveILPCtx(ctx, Instance{G: g, Budget: 6}, SolveOptions{TimeLimit: time.Minute})
+	_, err := SolveILP(ctx, Instance{G: g, Budget: 6}, SolveOptions{TimeLimit: time.Minute})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -48,7 +48,7 @@ func TestSolveILPCtxCancelMidSolve(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := SolveILPCtx(ctx, Instance{G: g, Budget: 9}, SolveOptions{TimeLimit: time.Minute})
+	_, err := SolveILP(ctx, Instance{G: g, Budget: 9}, SolveOptions{TimeLimit: time.Minute})
 	elapsed := time.Since(start)
 	if err == nil {
 		// The solve legitimately beat the cancellation on a fast machine.
@@ -69,7 +69,7 @@ func TestSolveRelaxationCtxPreCancelled(t *testing.T) {
 	g := cancelTestGraph(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := SolveRelaxationCtx(ctx, Instance{G: g, Budget: 8}, false)
+	_, _, err := SolveRelaxation(ctx, Instance{G: g, Budget: 8}, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

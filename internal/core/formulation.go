@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -522,5 +521,3 @@ func (f *Formulation) SetBudget(budget int64) {
 		f.Prob.LP.SetRHS(int(i), rhs)
 	}
 }
-
-var _ = math.Inf // reserved for future numeric guards

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,11 +36,11 @@ func TestAggregatedAndDisaggregatedAgree(t *testing.T) {
 	g := trainChainN(t, 6)
 	for _, budget := range []int64{5, 6, 8} {
 		inst := Instance{G: g, Budget: budget}
-		a, err := SolveILP(inst, SolveOptions{TimeLimit: 60 * time.Second})
+		a, err := SolveILP(context.Background(), inst, SolveOptions{TimeLimit: 60 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveILP(inst, SolveOptions{TimeLimit: 120 * time.Second, AggregatedFree: true})
+		b, err := SolveILP(context.Background(), inst, SolveOptions{TimeLimit: 120 * time.Second, AggregatedFree: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestCostCapEquation10(t *testing.T) {
 	ideal := g.TotalCost()
 	tight := Instance{G: g, Budget: 5}
 	// Without a cap the budget is feasible but needs recomputation.
-	free, err := SolveILP(tight, SolveOptions{TimeLimit: 30 * time.Second})
+	free, err := SolveILP(context.Background(), tight, SolveOptions{TimeLimit: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestCostCapEquation10(t *testing.T) {
 		t.Fatalf("expected recomputation at budget 5 (cost %v vs ideal %v)", free.Cost, ideal)
 	}
 	// Cap at ideal: infeasible (no recomputation allowed, memory too small).
-	capped, err := SolveILP(tight, SolveOptions{TimeLimit: 30 * time.Second, CostCap: ideal})
+	capped, err := SolveILP(context.Background(), tight, SolveOptions{TimeLimit: 30 * time.Second, CostCap: ideal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCostCapEquation10(t *testing.T) {
 		}
 	}
 	cap10 := ideal + fwdCost
-	relaxed, err := SolveILP(tight, SolveOptions{TimeLimit: 30 * time.Second, CostCap: cap10})
+	relaxed, err := SolveILP(context.Background(), tight, SolveOptions{TimeLimit: 30 * time.Second, CostCap: cap10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestScalingInvariance(t *testing.T) {
 		scaled.SetCost(graph.NodeID(i), base.Node(graph.NodeID(i)).Cost*1e6)
 		scaled.SetMem(graph.NodeID(i), base.Node(graph.NodeID(i)).Mem*(1<<20))
 	}
-	a, err := SolveILP(Instance{G: base, Budget: 6}, SolveOptions{})
+	a, err := SolveILP(context.Background(), Instance{G: base, Budget: 6}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveILP(Instance{G: scaled, Budget: 6 << 20}, SolveOptions{})
+	b, err := SolveILP(context.Background(), Instance{G: scaled, Budget: 6 << 20}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

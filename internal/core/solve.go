@@ -51,7 +51,7 @@ type SolveOptions struct {
 	// MostFractional selects most-fractional branching instead of the
 	// default pseudo-cost rule. For benchmarks and branching-rule tests.
 	MostFractional bool
-	// Progress streams solver progress out of SolveILPCtx/SweepILP while
+	// Progress streams solver progress out of SolveILP/SweepILP while
 	// the search runs. The zero value reports nothing.
 	Progress ProgressHooks
 }
@@ -106,19 +106,11 @@ type Result struct {
 // returning the best schedule found. A feasible result is returned even when
 // optimality was not proven within the limits (Status reports which).
 //
-// Deprecated: use SolveILPCtx. This wrapper cannot be cancelled — it mints
-// its own background context — so a caller with a deadline or a request
-// context gets neither.
-func SolveILP(inst Instance, opt SolveOptions) (*Result, error) {
-	return SolveILPCtx(context.Background(), inst, opt)
-}
-
-// SolveILPCtx is SolveILP with cancellation: when ctx is cancelled the
-// branch-and-bound search (and any in-flight simplex solve) stops promptly
-// and ctx.Err() is returned. Long-lived callers — the planning service — use
-// this to bound per-request solve time and to abandon solves whose clients
-// have gone away.
-func SolveILPCtx(ctx context.Context, inst Instance, opt SolveOptions) (*Result, error) {
+// When ctx is cancelled the branch-and-bound search (and any in-flight
+// simplex solve) stops promptly and ctx.Err() is returned. Long-lived
+// callers — the planning service — use this to bound per-request solve time
+// and to abandon solves whose clients have gone away.
+func SolveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, error) {
 	_, bspan := telemetry.StartSpan(ctx, "presolve")
 	f, err := Build(inst, BuildOptions{FrontierAdvancing: !opt.Unpartitioned, CostCap: opt.CostCap, AggregatedFree: opt.AggregatedFree})
 	if err != nil {
@@ -237,7 +229,7 @@ func SweepILP(ctx context.Context, inst Instance, budgets []int64, opt SolveOpti
 		if popt.Seed == nil {
 			popt.Seed = prevSched // SolveILP drops it if it no longer fits
 		}
-		res, err := SolveILPCtx(ctx, pinst, popt)
+		res, err := SolveILP(ctx, pinst, popt)
 		if err != nil {
 			return nil, fmt.Errorf("core: sweep at budget %d: %w", budgets[i], err)
 		}
@@ -257,18 +249,9 @@ func SweepILP(ctx context.Context, inst Instance, budgets []int64, opt SolveOpti
 
 // SolveRelaxation solves the LP relaxation of problem (9) (Section 5.1),
 // returning the fractional matrices and the relaxation objective in cost
-// units — a lower bound on the optimal integral cost.
-//
-// Deprecated: use SolveRelaxationCtx. This wrapper cannot be cancelled — it
-// mints its own background context — so a caller with a deadline or a
-// request context gets neither.
-func SolveRelaxation(inst Instance, unpartitioned bool) (*FractionalSched, float64, error) {
-	return SolveRelaxationCtx(context.Background(), inst, unpartitioned)
-}
-
-// SolveRelaxationCtx is SolveRelaxation with cancellation; when ctx is
-// cancelled mid-solve the simplex stops and ctx.Err() is returned.
-func SolveRelaxationCtx(ctx context.Context, inst Instance, unpartitioned bool) (*FractionalSched, float64, error) {
+// units — a lower bound on the optimal integral cost. When ctx is cancelled
+// mid-solve the simplex stops and ctx.Err() is returned.
+func SolveRelaxation(ctx context.Context, inst Instance, unpartitioned bool) (*FractionalSched, float64, error) {
 	f, err := Build(inst, BuildOptions{FrontierAdvancing: !unpartitioned})
 	if err != nil {
 		return nil, 0, err

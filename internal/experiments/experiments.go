@@ -95,7 +95,7 @@ func Fig1(ctx context.Context, w io.Writer, sc Scale) error {
 	peak := retain.Peak(g, tg.Overhead)
 	minB := core.MinBudgetLowerBound(g, tg.Overhead)
 	budget := int64(math.Max(float64(minB), peak/3))
-	res, err := core.SolveILPCtx(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead},
+	res, err := core.SolveILP(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead},
 		core.SolveOptions{TimeLimit: sc.TimeLimit, RelGap: sc.RelGap})
 	if err != nil {
 		return err
@@ -257,7 +257,7 @@ func Fig5(ctx context.Context, w io.Writer, model string, batch int, sc Scale) (
 		}
 		out = append(out, cp)
 		// Checkmate approximation.
-		if r, err := approx.SolveWithSearchCtx(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead}, approx.Options{}); err == nil {
+		if r, err := approx.SolveWithSearch(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead}, approx.Options{}); err == nil {
 			out = append(out, CurvePoint{Strategy: "checkmate-approx", BudgetGB: gib(budget), Overhead: r.Cost / ideal, Feasible: true})
 		} else {
 			out = append(out, CurvePoint{Strategy: "checkmate-approx", BudgetGB: gib(budget)})
@@ -396,12 +396,12 @@ func feasibleAtBatch(ctx context.Context, model string, b int, budget int64, str
 			return false
 		}
 		// Try the cheap approximation first; fall back to the ILP.
-		if r, err := approx.SolveWithSearchCtx(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead}, approx.Options{}); err == nil {
+		if r, err := approx.SolveWithSearch(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead}, approx.Options{}); err == nil {
 			if r.Feasible && r.Cost <= cap {
 				return true
 			}
 		}
-		res, err := core.SolveILPCtx(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead},
+		res, err := core.SolveILP(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead},
 			core.SolveOptions{TimeLimit: sc.TimeLimit, RelGap: sc.RelGap, CostCap: cap})
 		if err != nil || res.Sched == nil {
 			return false
@@ -472,7 +472,7 @@ func Table2(ctx context.Context, w io.Writer, models []string, sc Scale) ([]Tabl
 			if c, ok := bestUnder(revolve, budget); ok {
 				rREV = append(rREV, c/opt)
 			}
-			if r, err := approx.SolveWithSearchCtx(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead}, approx.Options{}); err == nil && r.Feasible {
+			if r, err := approx.SolveWithSearch(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead}, approx.Options{}); err == nil && r.Feasible {
 				rTP = append(rTP, r.Cost/opt)
 			}
 		}
@@ -547,7 +547,7 @@ func Fig7(ctx context.Context, w io.Writer, sc Scale) error {
 	}
 	render("checkpoint-all (TF2.0 default)", core.CheckpointAll(g))
 	render("linearized greedy (Chen-style)", bestGreedySched(tg, budget))
-	res, err := core.SolveILPCtx(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead},
+	res, err := core.SolveILP(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead},
 		core.SolveOptions{TimeLimit: sc.TimeLimit, RelGap: sc.RelGap})
 	if err != nil {
 		return err
@@ -651,11 +651,11 @@ func AppendixA(ctx context.Context, w io.Writer, sc Scale) (*AppendixAResult, er
 	out := &AppendixAResult{}
 
 	// Partitioned (frontier-advancing) form.
-	resP, err := core.SolveILPCtx(ctx, inst, core.SolveOptions{TimeLimit: sc.TimeLimit})
+	resP, err := core.SolveILP(ctx, inst, core.SolveOptions{TimeLimit: sc.TimeLimit})
 	if err != nil {
 		return nil, err
 	}
-	_, lpP, err := core.SolveRelaxationCtx(ctx, inst, false)
+	_, lpP, err := core.SolveRelaxation(ctx, inst, false)
 	if err != nil {
 		return nil, err
 	}
@@ -671,11 +671,11 @@ func AppendixA(ctx context.Context, w io.Writer, sc Scale) (*AppendixAResult, er
 	// frontier-advancing schedule is feasible for the general form). The
 	// paper could not close this form in under 9.4 hours; we bound the time
 	// and report the measured gap against the unpartitioned LP relaxation.
-	_, lpU, err := core.SolveRelaxationCtx(ctx, inst, true)
+	_, lpU, err := core.SolveRelaxation(ctx, inst, true)
 	if err != nil {
 		return nil, err
 	}
-	resU, err := core.SolveILPCtx(ctx, inst, core.SolveOptions{
+	resU, err := core.SolveILP(ctx, inst, core.SolveOptions{
 		TimeLimit: 2 * sc.TimeLimit, Unpartitioned: true, Seed: resP.Sched,
 	})
 	if err != nil {

@@ -153,3 +153,20 @@ func TestTargetUnknownModel(t *testing.T) {
 		t.Fatal("unknown model accepted")
 	}
 }
+
+// TestCompareSolverPerfParallelClause: the gate fails a parallel node rate
+// below (1 − tol) of the serial one, and skips the check for a record made
+// on one CPU, where the workers time-slice.
+func TestCompareSolverPerfParallelClause(t *testing.T) {
+	base := &SolverPerf{ParNodesPerS: 300}
+	for _, tc := range []struct {
+		ratio float64
+		cpus  int
+		fail  bool
+	}{{0.79, 2, true}, {0.81, 2, false}, {0.79, 1, false}} {
+		cur := &SolverPerf{BenchCPUs: tc.cpus, ThreadsUsed: 2, NodesPerSec: 100, ParNodesPerS: 100 * tc.ratio}
+		if regs := CompareSolverPerf(base, cur, 0.2); (len(regs) > 0) != tc.fail {
+			t.Errorf("ratio %.2f on %d CPUs: regressions %q, want failure %v", tc.ratio, tc.cpus, regs, tc.fail)
+		}
+	}
+}

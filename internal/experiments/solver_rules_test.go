@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestSolverRuleIndependenceOnSeedWorkload(t *testing.T) {
 		o := base
 		o.Dantzig = c.dantzig
 		o.MostFractional = c.mostFrac
-		res, err := core.SolveILP(inst, o)
+		res, err := core.SolveILP(context.Background(), inst, o)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -16,7 +16,7 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := SolveCtx(ctx, inst, Options{TimeLimit: time.Minute})
+	_, err := Solve(ctx, inst, Options{TimeLimit: time.Minute})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -40,7 +40,7 @@ func TestSolveCtxCancelMidSearch(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := SolveCtx(ctx, inst, Options{TimeLimit: time.Minute})
+	res, err := Solve(ctx, inst, Options{TimeLimit: time.Minute})
 	elapsed := time.Since(start)
 	if err == nil {
 		// The search legitimately finished before the cancel on a machine
@@ -67,7 +67,7 @@ func TestSolveCtxDeadlineIsLimitNotError(t *testing.T) {
 	}))()
 
 	inst := randomInstance(11)
-	res, err := SolveCtx(context.Background(), inst, Options{TimeLimit: 60 * time.Millisecond})
+	res, err := Solve(context.Background(), inst, Options{TimeLimit: 60 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("deadline expiry returned error %v, want limit status", err)
 	}
@@ -88,7 +88,7 @@ func TestSolveCtxContainsPanics(t *testing.T) {
 		faultinject.IntervalSearch: {Panic: "chaos"},
 	}))()
 
-	res, err := SolveCtx(context.Background(), randomInstance(5), Options{TimeLimit: time.Minute})
+	res, err := Solve(context.Background(), randomInstance(5), Options{TimeLimit: time.Minute})
 	if err == nil {
 		t.Fatalf("injected panic returned no error (res = %+v)", res)
 	}

@@ -5,9 +5,7 @@
 //   - context.Background() / context.TODO() are banned outside package main.
 //     Legitimate detach points — the worker pool's flights and the stream
 //     hubs, whose solves outlive any one request — carry a //lint:detach
-//     annotation with a reason. Deprecated compatibility wrappers (the
-//     pre-context API) are exempt: they exist precisely to paper over the
-//     missing ctx parameter.
+//     annotation with a reason.
 //   - A function that takes a context.Context must take it as its first
 //     parameter, so call sites read uniformly and no ctx is buried.
 //
@@ -44,21 +42,12 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			checkCtxFirst(pass, fd)
-			exempt := analysis.HasDirective(fd.Doc, "detach") ||
-				analysis.IsDeprecatedDoc(docText(fd))
 			if fd.Body != nil {
-				checkBackground(pass, fd.Body, exempt)
+				checkBackground(pass, fd.Body, analysis.HasDirective(fd.Doc, "detach"))
 			}
 		}
 	}
 	return nil
-}
-
-func docText(fd *ast.FuncDecl) string {
-	if fd.Doc == nil {
-		return ""
-	}
-	return fd.Doc.Text()
 }
 
 // checkBackground reports context.Background/TODO calls under n unless the

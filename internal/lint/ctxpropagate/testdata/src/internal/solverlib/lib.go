@@ -28,16 +28,6 @@ func lineLevelDetach() error {
 	return ctx.Err()
 }
 
-// OldSolve is the pre-context compatibility wrapper.
-//
-// Deprecated: use OldSolveCtx.
-func OldSolve() error {
-	return OldSolveCtx(context.Background())
-}
-
-// OldSolveCtx is OldSolve with cancellation.
-func OldSolveCtx(ctx context.Context) error { return ctx.Err() }
-
 func ctxFirst(ctx context.Context, n int) error { return ctx.Err() }
 
 func ctxBuried(n int, ctx context.Context) error { // want "context.Context must be the first parameter of ctxBuried"

@@ -1,9 +1,8 @@
 // Package lint assembles the checkmate-lint analyzer suite: project-specific
 // analyzers that machine-check invariants the codebase relies on (context
 // propagation, goroutine panic containment, closed metric-label vocabularies,
-// deprecation bans, structured logging, float-comparison hygiene) plus
-// general vet-style passes (lostcancel, copylocks, nilcheck) that `go vet`
-// does not fully cover here. See docs/lint.md for the catalogue.
+// structured logging, float-comparison hygiene) plus nilcheck, a vet-style
+// pass that `go vet` does not run. See docs/lint.md for the catalogue.
 package lint
 
 import (
@@ -11,15 +10,12 @@ import (
 	"sort"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/copylocks"
 	"repro/internal/lint/ctxpropagate"
 	"repro/internal/lint/floateq"
 	"repro/internal/lint/gorecover"
 	"repro/internal/lint/load"
-	"repro/internal/lint/lostcancel"
 	"repro/internal/lint/metriclabels"
 	"repro/internal/lint/nilcheck"
-	"repro/internal/lint/nodeprecated"
 	"repro/internal/lint/structuredlog"
 )
 
@@ -29,11 +25,8 @@ func All() []*analysis.Analyzer {
 		ctxpropagate.Analyzer,
 		gorecover.Analyzer,
 		metriclabels.Analyzer,
-		nodeprecated.Analyzer,
 		structuredlog.Analyzer,
 		floateq.Analyzer,
-		lostcancel.Analyzer,
-		copylocks.Analyzer,
 		nilcheck.Analyzer,
 	}
 }
@@ -70,7 +63,7 @@ func Run(prog *load.Program, analyzers []*analysis.Analyzer) ([]Finding, error) 
 					Message:  d.Message,
 				})
 			}
-			pass := analysis.NewPass(a, prog.Fset, pkg.Syntax, pkg.Types, pkg.TypesInfo, prog, report)
+			pass := analysis.NewPass(a, prog.Fset, pkg.Syntax, pkg.Types, pkg.TypesInfo, report)
 			if err := a.Run(pass); err != nil {
 				return nil, err
 			}

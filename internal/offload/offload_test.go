@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -120,7 +121,7 @@ func TestRematerializationBeatsOffloadOnCheapLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.SolveILP(core.Instance{G: g, Budget: budget}, core.SolveOptions{TimeLimit: 15 * time.Second, RelGap: 0.05})
+	res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget}, core.SolveOptions{TimeLimit: 15 * time.Second, RelGap: 0.05})
 	if err != nil || res.Sched == nil {
 		t.Fatalf("ILP failed: %v", err)
 	}
@@ -148,7 +149,7 @@ func TestOffloadCanWinOnExpensiveKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.SolveILP(core.Instance{G: g, Budget: budget}, core.SolveOptions{TimeLimit: 15 * time.Second, RelGap: 0.05})
+	res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget}, core.SolveOptions{TimeLimit: 15 * time.Second, RelGap: 0.05})
 	if err != nil || res.Sched == nil {
 		t.Fatalf("ILP failed: %v", err)
 	}

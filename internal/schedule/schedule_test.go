@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -61,7 +62,7 @@ func TestSimulatorMatchesUAccounting(t *testing.T) {
 			}
 		}
 		budget := core.MinBudgetLowerBound(g, 0) + rng.Int63n(8)
-		res, err := core.SolveILP(core.Instance{G: g, Budget: budget}, core.SolveOptions{})
+		res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget}, core.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestCodeMotionNeverIncreasesPeak(t *testing.T) {
 			g.MustEdge(graph.NodeID(i-1), graph.NodeID(i))
 		}
 		budget := core.MinBudgetLowerBound(g, 0) + rng.Int63n(6)
-		res, err := core.SolveILP(core.Instance{G: g, Budget: budget}, core.SolveOptions{})
+		res, err := core.SolveILP(context.Background(), core.Instance{G: g, Budget: budget}, core.SolveOptions{})
 		if err != nil || res.Sched == nil {
 			return true
 		}

@@ -70,17 +70,6 @@ func GraphSpecOf(g *graph.Graph, overhead int64) *GraphSpec {
 	return s
 }
 
-// Solver names accepted by the deprecated SolveRequest.Solver field. They
-// are a subset of the method names served by GET /v1/methods; the "method"
-// field accepts every method the checkmate package registers.
-//
-// Deprecated: set SolveRequest.Method instead. These constants remain only
-// so old clients keep compiling; new code should never reference them.
-const (
-	SolverOptimal = "optimal" // MILP of paper Section 4.7 (default)
-	SolverApprox  = "approx"  // two-phase LP rounding, Section 5
-)
-
 // SolveRequest asks for one schedule. Exactly one of Model or Graph must be
 // set: Model selects a zoo architecture built server-side, Graph supplies a
 // serialized training DAG.
@@ -101,13 +90,8 @@ type SolveRequest struct {
 	Budget int64 `json:"budget"`
 	// Method selects the solver method: one of the names served by
 	// GET /v1/methods ("optimal", "approx", "baseline", "interval", "auto");
-	// empty selects the server default (optimal). It supersedes Solver.
+	// empty selects the server default (optimal).
 	Method string `json:"method,omitempty"`
-	// Solver is the pre-method spelling of Method and accepts only
-	// "optimal" or "approx". Ignored when Method is set.
-	//
-	// Deprecated: set Method.
-	Solver string `json:"solver,omitempty"`
 	// TimeLimitMS bounds the optimal solve's wall clock (server default and
 	// cap apply).
 	TimeLimitMS int64 `json:"time_limit_ms,omitempty"`
@@ -117,17 +101,6 @@ type SolveRequest struct {
 	// NoCache skips the schedule cache for this request (the result is
 	// still stored).
 	NoCache bool `json:"no_cache,omitempty"`
-}
-
-// EffectiveMethod returns the request's method name: the first-class Method
-// field when set, else the deprecated Solver alias (whose legal values are
-// method names), else empty for the server default. Validation against the
-// registered methods is the server's job.
-func (r *SolveRequest) EffectiveMethod() string {
-	if r.Method != "" {
-		return r.Method
-	}
-	return r.Solver
 }
 
 // SolveResponse is one solved schedule.
@@ -140,10 +113,6 @@ type SolveResponse struct {
 	// Method is the solver method that produced the schedule. Requests for
 	// method "auto" see the concrete method the router chose, never "auto".
 	Method string `json:"method"`
-	// Solver mirrors Method for pre-method clients.
-	//
-	// Deprecated: read Method.
-	Solver string `json:"solver"`
 	// Optimal reports proven optimality (always false for approx).
 	Optimal bool `json:"optimal"`
 	// Cost and IdealCost are in the workload's cost units; Overhead is
@@ -186,23 +155,10 @@ type SweepRequest struct {
 	Budgets []int64 `json:"budgets,omitempty"`
 	Points  int     `json:"points,omitempty"`
 	// Method selects the solver method for every point (see
-	// SolveRequest.Method); it supersedes Solver.
-	Method string `json:"method,omitempty"`
-	// Solver is the pre-method spelling of Method.
-	//
-	// Deprecated: set Method.
-	Solver      string  `json:"solver,omitempty"`
+	// SolveRequest.Method).
+	Method      string  `json:"method,omitempty"`
 	TimeLimitMS int64   `json:"time_limit_ms,omitempty"`
 	RelGap      float64 `json:"rel_gap,omitempty"`
-}
-
-// EffectiveMethod returns the sweep's method name, preferring the
-// first-class Method field over the deprecated Solver alias.
-func (r *SweepRequest) EffectiveMethod() string {
-	if r.Method != "" {
-		return r.Method
-	}
-	return r.Solver
 }
 
 // SweepPoint is one budget's outcome within a sweep. Infeasible budgets

@@ -492,7 +492,6 @@ func streamQuery(req api.SolveRequest) url.Values {
 	set("coarse_segments", strconv.Itoa(req.CoarseSegments))
 	set("budget", strconv.FormatInt(req.Budget, 10))
 	set("method", req.Method)
-	set("solver", req.Solver)
 	set("time_limit_ms", strconv.FormatInt(req.TimeLimitMS, 10))
 	if req.RelGap != 0 {
 		q.Set("rel_gap", strconv.FormatFloat(req.RelGap, 'g', -1, 64))
@@ -522,7 +521,6 @@ func sweepStreamQuery(req api.SweepRequest) url.Values {
 	set("device", req.Device)
 	set("coarse_segments", strconv.Itoa(req.CoarseSegments))
 	set("method", req.Method)
-	set("solver", req.Solver)
 	set("points", strconv.Itoa(req.Points))
 	set("time_limit_ms", strconv.FormatInt(req.TimeLimitMS, 10))
 	if req.RelGap != 0 {

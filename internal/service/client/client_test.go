@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +179,67 @@ func TestClientSolveStreamError(t *testing.T) {
 	}
 	if ae.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422", ae.StatusCode)
+	}
+}
+
+// TestClientStreamsCarryEveryField: the stream endpoints take a request as
+// query parameters and reject any they do not know, so every request field
+// the client encodes must be one the server decodes. Between them, the
+// requests below set every field of both request types.
+func TestClientStreamsCarryEveryField(t *testing.T) {
+	c := testClient(t)
+	ctx := context.Background()
+	const limitMS = 20000
+	solves := []api.SolveRequest{
+		{Model: "linear32", Batch: 2, Device: "cpu", CoarseSegments: 8, Budget: 1 << 40,
+			Method: "interval", TimeLimitMS: limitMS, RelGap: 0.05, NoCache: true},
+		{Graph: chainSpec(10), Budget: 6, Method: "optimal", TimeLimitMS: limitMS, RelGap: 0.05, NoCache: true},
+	}
+	sweeps := []api.SweepRequest{
+		{Model: "linear32", Batch: 2, Device: "cpu", CoarseSegments: 8, Points: 2,
+			Method: "interval", TimeLimitMS: limitMS, RelGap: 0.05},
+		{Graph: chainSpec(10), Budgets: []int64{6, 8}, Method: "optimal", TimeLimitMS: limitMS, RelGap: 0.05},
+	}
+	requireEveryField(t, solves[0], solves[1])
+	requireEveryField(t, sweeps[0], sweeps[1])
+	for _, req := range solves {
+		resp, err := c.SolveStream(ctx, req, 0, nil)
+		if err != nil {
+			t.Fatalf("SolveStream %+v: %v", req, err)
+		}
+		if resp.Method != req.Method || resp.Budget != req.Budget {
+			t.Fatalf("solved method %q budget %d, asked %q %d", resp.Method, resp.Budget, req.Method, req.Budget)
+		}
+	}
+	for _, req := range sweeps {
+		resp, err := c.SweepStream(ctx, req, 0, nil)
+		if err != nil {
+			t.Fatalf("SweepStream %+v: %v", req, err)
+		}
+		if len(resp.Points) != 2 {
+			t.Fatalf("sweep returned %d points, want 2", len(resp.Points))
+		}
+		for _, pt := range resp.Points {
+			if !pt.Feasible {
+				t.Fatalf("sweep point %+v failed", pt)
+			}
+		}
+	}
+}
+
+// requireEveryField fails unless each field of the requests' type is set in
+// at least one of them.
+func requireEveryField(t *testing.T, reqs ...any) {
+	t.Helper()
+	typ := reflect.TypeOf(reqs[0])
+	for i := 0; i < typ.NumField(); i++ {
+		set := false
+		for _, req := range reqs {
+			set = set || !reflect.ValueOf(req).Field(i).IsZero()
+		}
+		if !set {
+			t.Errorf("%s.%s is set by none of the requests", typ.Name(), typ.Field(i).Name)
+		}
 	}
 }
 

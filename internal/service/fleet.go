@@ -40,9 +40,12 @@ func (s *Server) forwardTarget(r *http.Request, key string) (string, bool) {
 	return owner, true
 }
 
-// cachedResponse consults both cache tiers for key and returns a mutable
-// copy stamped Cached. Fleet handlers call it before forwarding: a locally
-// cached answer never crosses the network, whoever owns the key.
+// cachedResponse consults both cache tiers for key — the in-memory shard,
+// then the persistent store — and returns a mutable copy stamped Cached. A
+// store hit repopulates the memory shard so the next lookup skips the disk
+// read too. solveKeyed calls it before solving, and fleet handlers before
+// forwarding: a locally cached answer never crosses the network, whoever
+// owns the key.
 func (s *Server) cachedResponse(key graph.Fingerprint) (*api.SolveResponse, bool) {
 	if resp, ok := s.cache.get(key); ok {
 		resp.Cached = true

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -47,8 +49,8 @@ func TestSolveMethodField(t *testing.T) {
 	if errResp != nil {
 		t.Fatalf("optimal solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
 	}
-	if opt.Method != string(checkmate.Optimal) || opt.Solver != string(checkmate.Optimal) {
-		t.Fatalf("default solve reported method %q solver %q", opt.Method, opt.Solver)
+	if opt.Method != string(checkmate.Optimal) {
+		t.Fatalf("default solve reported method %q", opt.Method)
 	}
 	iv, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(10), Budget: 6, Method: string(checkmate.Interval)})
 	if errResp != nil {
@@ -101,25 +103,36 @@ func TestSolveUnknownMethod400(t *testing.T) {
 	}
 }
 
-// TestSolverAliasCompatibility: the deprecated "solver" field still routes
-// (as a method alias) and loses to an explicit "method".
-func TestSolverAliasCompatibility(t *testing.T) {
-	_, ts := testServer(t)
-	apx, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(10), Budget: 6, Solver: "approx"})
-	if errResp != nil {
-		t.Fatalf("solver alias solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
+// TestSolverFieldRejected: "solver", the retired alias of "method", is an
+// unknown field now. A request that still sets it, in a body or a stream
+// query, is a 400 naming the field instead of a silent solve under the
+// default method.
+func TestSolverFieldRejected(t *testing.T) {
+	srv, ts := testServer(t)
+	spec, _ := json.Marshal(chainSpec(10))
+	graph := url.QueryEscape(string(spec))
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/solve", fmt.Sprintf(`{"graph":%s,"budget":6,"solver":"approx"}`, spec)},
+		{http.MethodPost, "/v1/sweep", fmt.Sprintf(`{"graph":%s,"budgets":[6],"solver":"approx"}`, spec)},
+		{http.MethodGet, "/v1/solve/stream?budget=6&solver=approx&graph=" + graph, ""},
+		{http.MethodGet, "/v1/sweep/stream?budgets=6&solver=approx&graph=" + graph, ""},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"solver"`) {
+			t.Fatalf("%s %s: HTTP %d %q, want 400 naming solver", tc.method, tc.path, resp.StatusCode, e.Error)
+		}
 	}
-	if apx.Method != string(checkmate.Approx) || apx.Solver != string(checkmate.Approx) {
-		t.Fatalf("alias solve reported method %q solver %q", apx.Method, apx.Solver)
-	}
-	both, errResp := postSolve(t, ts, api.SolveRequest{
-		Graph: chainSpec(10), Budget: 6,
-		Method: string(checkmate.Optimal), Solver: "approx",
-	})
-	if errResp != nil {
-		t.Fatalf("method-over-solver solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
-	}
-	if both.Method != string(checkmate.Optimal) {
-		t.Fatalf("explicit method lost to the solver alias: reported %q", both.Method)
+	if st := srv.Stats(); st.Solves != 0 {
+		t.Fatalf("rejected requests still solved: %d solves", st.Solves)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/service/api"
+	"repro/internal/service/store"
 )
 
 func persistentCfg(dir string) Config {
@@ -94,6 +97,56 @@ func TestRestartServesSolvedScheduleFromDisk(t *testing.T) {
 	}
 	if st.CacheHits != 1 {
 		t.Fatalf("memory cache hits = %d, want 1", st.CacheHits)
+	}
+}
+
+// TestStoredSolverFieldStillLoads: strict decoding applies to incoming
+// requests only. A schedule stored while responses still carried the
+// retired "solver" field keeps loading from disk.
+func TestStoredSolverFieldStillLoads(t *testing.T) {
+	dir := t.TempDir()
+	req := api.SolveRequest{Graph: chainSpec(10), Budget: 6}
+	srv1, ts1 := testServerCfg(t, persistentCfg(dir))
+	first, errResp := postSolve(t, ts1, req)
+	if errResp != nil {
+		t.Fatalf("seed solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	// Rewrite the entry the way an older server stored it.
+	st, err := store.OpenDisk(store.DiskOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := graph.ParseFingerprint(first.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := st.Get(key)
+	if !ok {
+		t.Fatal("seed solve was not stored")
+	}
+	var entry map[string]any
+	if err := json.Unmarshal(payload, &entry); err != nil {
+		t.Fatal(err)
+	}
+	entry["solver"] = entry["method"]
+	if payload, err = json.Marshal(entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	srv2, ts2 := testServerCfg(t, persistentCfg(dir))
+	second, errResp := postSolve(t, ts2, req)
+	if errResp != nil {
+		t.Fatalf("solve over the old entry: HTTP %d %s", errResp.StatusCode, errResp.Status)
+	}
+	if !second.Cached || srv2.Stats().Solves != 0 {
+		t.Fatalf("old entry not served from the store: cached=%v solves=%d", second.Cached, srv2.Stats().Solves)
 	}
 }
 

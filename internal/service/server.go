@@ -606,20 +606,11 @@ func (s *Server) solveParamsFrom(method string, budget, timeLimitMS int64, relGa
 // callers compute it once per request or sweep point and reuse it for
 // routing and stream-hub naming.
 func (s *Server) solveKeyed(ctx context.Context, wl *checkmate.Workload, p solveParams, key graph.Fingerprint, noCache bool) (*api.SolveResponse, error) {
+	// Hit/miss accounting lives in the cache tiers; NoCache requests never
+	// consult them, so they skew no counter.
 	if !noCache {
-		// Tier 1: in-memory shard. Hit/miss accounting lives in the shard;
-		// NoCache requests never consult the cache, so they skew no counter.
-		if resp, ok := s.cache.get(key); ok {
-			resp.Cached = true
+		if resp, ok := s.cachedResponse(key); ok {
 			return resp, nil
-		}
-		// Tier 2: persistent store. A hit repopulates the memory shard so
-		// the next lookup skips the disk read too.
-		if resp, ok := s.loadStored(key); ok {
-			s.cache.put(key, resp)
-			cp := *resp
-			cp.Cached = true
-			return &cp, nil
 		}
 	}
 	// Admission: the raw estimate orders requests by expense; the calibrator
@@ -777,7 +768,6 @@ func (s *Server) runSolve(ctx context.Context, wl *checkmate.Workload, p solvePa
 	return &api.SolveResponse{
 		Fingerprint:    key.String(),
 		Method:         string(sched.Method),
-		Solver:         string(sched.Method),
 		Optimal:        sched.Optimal,
 		Cost:           sched.Cost,
 		IdealCost:      sched.IdealCost,
@@ -862,11 +852,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	p, err := s.solveParamsFrom(req.EffectiveMethod(), req.Budget, req.TimeLimitMS, req.RelGap)
+	p, err := s.solveParamsFrom(req.Method, req.Budget, req.TimeLimitMS, req.RelGap)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -949,7 +939,7 @@ func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
 	}
 	plan := &sweepPlan{
 		wl:     wl,
-		method: req.EffectiveMethod(),
+		method: req.Method,
 		resp: api.SweepResponse{
 			MinBudget:         wl.MinBudget(),
 			CheckpointAllPeak: wl.CheckpointAllPeak(),
@@ -1058,7 +1048,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

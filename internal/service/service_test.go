@@ -65,7 +65,7 @@ func chainSpec(n int) *api.GraphSpec {
 	return s
 }
 
-func postSolve(t *testing.T, ts *httptest.Server, req api.SolveRequest) (*api.SolveResponse, *http.Response) {
+func postSolve(t *testing.T, ts *httptest.Server, req any) (*api.SolveResponse, *http.Response) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
@@ -346,12 +346,12 @@ func TestValidationErrors(t *testing.T) {
 	_, ts := testServer(t)
 	cases := []struct {
 		name string
-		req  api.SolveRequest
+		req  any // an api.SolveRequest, or a raw body for fields it cannot carry
 		code int
 	}{
 		{"no workload", api.SolveRequest{Budget: 6}, http.StatusBadRequest},
 		{"both workloads", api.SolveRequest{Model: "vgg16", Graph: chainSpec(4), Budget: 6}, http.StatusBadRequest},
-		{"bad solver", api.SolveRequest{Graph: chainSpec(4), Budget: 6, Solver: "quantum"}, http.StatusBadRequest},
+		{"bad solver", map[string]any{"graph": chainSpec(4), "budget": 6, "solver": "approx"}, http.StatusBadRequest},
 		{"zero budget", api.SolveRequest{Graph: chainSpec(4)}, http.StatusBadRequest},
 		{"unknown model", api.SolveRequest{Model: "nope", Budget: 6}, http.StatusBadRequest},
 		{"out-of-range self edge", api.SolveRequest{Graph: &api.GraphSpec{

@@ -596,7 +596,7 @@ func TestStreamBadRequests(t *testing.T) {
 		{"no workload", ts.URL + "/v1/solve/stream?budget=6"},
 		{"zero budget", streamURL(ts, chainSpec(4), 0, "")},
 		{"bad graph json", ts.URL + "/v1/solve/stream?budget=6&graph=%7Bnope"},
-		{"bad solver", streamURL(ts, chainSpec(4), 6, "solver=quantum")},
+		{"bad solver", streamURL(ts, chainSpec(4), 6, "solver=approx")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,8 @@ package checkmate
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -135,5 +137,70 @@ func TestDevicePresetsChangeSchedules(t *testing.T) {
 	}
 	if a.Graph.TotalCost() == b.Graph.TotalCost() {
 		t.Fatal("v100 and cpu cost models indistinguishable")
+	}
+}
+
+// TestSolveSweepMatchesPointSolves: the warm-started budget sweep must agree
+// with independent per-budget solves on feasibility and optimal cost, and an
+// infeasible low budget must be reported per point, not fail the sweep.
+func TestSolveSweepMatchesPointSolves(t *testing.T) {
+	wl, err := Load("linear32", Options{Batch: 1, CoarseSegments: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := wl.CheckpointAllPeak()
+	minB := wl.MinBudget()
+	budgets := []int64{
+		minB / 2, // infeasible by construction
+		minB + (peak-minB)/4,
+		minB + (peak-minB)/2,
+		peak,
+	}
+	const limit = 60 * time.Second
+	points := make([]*SweepPoint, len(budgets))
+	_, err = Solve(context.Background(), Request{
+		Workload: wl, Budgets: budgets, TimeLimit: limit,
+		Observer: ObserverFunc(func(e Event) {
+			if e.Kind == EventSweepPoint && e.Index >= 0 && e.Index < len(points) {
+				points[e.Index] = e.Point
+			}
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range points {
+		if pt == nil || pt.Budget != budgets[i] {
+			t.Fatalf("budget %d: sweep point missing or misaligned: %+v", budgets[i], pt)
+		}
+	}
+	if !errors.Is(points[0].Err, ErrInfeasible) {
+		t.Fatalf("sub-minimum budget: want ErrInfeasible, got %v", points[0].Err)
+	}
+	for _, pt := range points[1:] {
+		if pt.Err != nil || pt.Schedule == nil {
+			t.Fatalf("budget %d: %v", pt.Budget, pt.Err)
+		}
+		solo, err := Solve(context.Background(), Request{Workload: wl, Budget: pt.Budget, TimeLimit: limit})
+		if err != nil {
+			t.Fatalf("budget %d solo: %v", pt.Budget, err)
+		}
+		if math.Abs(pt.Schedule.Cost-solo.Cost) > 1e-6*(1+solo.Cost) {
+			t.Fatalf("budget %d: sweep cost %v != solo cost %v", pt.Budget, pt.Schedule.Cost, solo.Cost)
+		}
+		if pt.Schedule.PeakBytes > pt.Budget {
+			t.Fatalf("budget %d: schedule peak %d exceeds budget", pt.Budget, pt.Schedule.PeakBytes)
+		}
+	}
+	// The sweep solves in decreasing budget order; warm starts should be
+	// accepted at the later (tighter) points.
+	var warm int64
+	for _, pt := range points {
+		if pt.Schedule != nil {
+			warm += pt.Schedule.Solver.WarmHits
+		}
+	}
+	if warm == 0 {
+		t.Error("no warm-start hits across the sweep")
 	}
 }

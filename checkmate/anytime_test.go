@@ -55,8 +55,8 @@ func TestAnytimePanicFallsToInterval(t *testing.T) {
 		faultinject.MILPWorker: {Panic: "chaos"},
 	}))()
 
-	wl := chainWorkload(t, 12)
-	budget := (wl.MinBudget() + wl.CheckpointAllPeak()) / 2
+	wl := trainingWorkload(t, 6)
+	budget := (wl.MinBudget() + wl.IdealPeak()) / 2
 	obs := &collectObserver{}
 	sched, err := Solve(context.Background(), Request{
 		Workload: wl, Method: Anytime, Budget: budget,
@@ -145,10 +145,10 @@ func TestAnytimeOptimalInfeasibleIsDefinitive(t *testing.T) {
 // that can actually use it — and the skip is visible in the event stream
 // and the degradation record.
 func TestAnytimeSkipsHopelessOptimalRung(t *testing.T) {
-	wl := chainWorkload(t, 300)
+	wl := trainingWorkload(t, 150)
 	obs := &collectObserver{}
 	sched, err := Solve(context.Background(), Request{
-		Workload: wl, Method: Anytime, Budget: wl.CheckpointAllPeak(),
+		Workload: wl, Method: Anytime, Budget: wl.IdealPeak() - 1,
 		TimeLimit: time.Second, Observer: obs,
 	})
 	if err != nil {
@@ -198,8 +198,8 @@ func TestAnytimeUnpartitionedRejected(t *testing.T) {
 // method at a comfortable deadline and reroutes to the ladder when the
 // projection clearly overruns — and cache keys agree with the routing.
 func TestAutoReroutesToAnytimeOnTightDeadline(t *testing.T) {
-	small := chainWorkload(t, 40)
-	budget := small.MinBudget() + (small.CheckpointAllPeak()-small.MinBudget())/4
+	small := trainingWorkload(t, 20)
+	budget := small.MinBudget() + (small.IdealPeak()-small.MinBudget())/4
 
 	comfy := Request{Workload: small, Method: Auto, Budget: budget, TimeLimit: time.Hour}
 	if got := comfy.Resolve(); got != Optimal {
@@ -218,7 +218,7 @@ func TestAutoReroutesToAnytimeOnTightDeadline(t *testing.T) {
 	}
 
 	// Large graphs reroute off Interval the same way.
-	large := chainWorkload(t, 400)
+	large := trainingWorkload(t, 200)
 	lcomfy := Request{Workload: large, Method: Auto, Budget: large.CheckpointAllPeak(), TimeLimit: time.Hour}
 	if got := lcomfy.Resolve(); got != Interval {
 		t.Fatalf("large comfortable deadline resolved to %q, want %q", got, Interval)

@@ -193,12 +193,17 @@ func (w *Workload) SolveKey(budget int64, opt SolveOptions, approximate bool) gr
 //     branch-and-bound relative to accepting a gap; parallel tree search
 //     (Threads) divides wall-clock by a conservatively assumed ~50%
 //     efficiency.
+//   - A budget at or above IdealPeak costs the floor, unless Unpartitioned:
+//     Solve serves it with the ideal schedule and builds no LP, and a
+//     baseline there is a closed-form heuristic. Estimating such a request
+//     as a search would teach the service's calibrator that searches are
+//     cheap.
 //
 // The result is clamped to [1, TimeLimit in ms]: the time limit is a hard
 // ceiling on how much work the solver is allowed to do.
 func (w *Workload) EstimateSolveCost(budget int64, opt SolveOptions, approximate bool) float64 {
 	n := float64(w.Graph.Len())
-	if n <= 0 {
+	if n <= 0 || w.idealFit(budget, opt) != nil {
 		return 1
 	}
 	// n^2.5, scaled so a ~100-node graph lands near one second's worth of
@@ -245,6 +250,21 @@ func (w *Workload) EstimateSolveCost(budget int64, opt SolveOptions, approximate
 		cost = 1
 	}
 	return cost
+}
+
+// idealFit returns core.IdealSched when the budget fits it, so that no
+// solver search is needed, and nil otherwise. Without frontier-advancing
+// stages (8a) the ideal cost is no lower bound, so Unpartitioned solves
+// always search.
+func (w *Workload) idealFit(budget int64, opt SolveOptions) *core.Sched {
+	if opt.Unpartitioned {
+		return nil
+	}
+	s := core.IdealSched(w.Graph)
+	if float64(budget) < s.Peak(w.Graph, w.Overhead) {
+		return nil
+	}
+	return s
 }
 
 // autoDeadlineHeadroom is the overrun factor at which Auto reroutes to the
@@ -354,7 +374,7 @@ func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions
 		return w.EstimateSolveCost(budget, opt, m == Approx)
 	}
 	n := float64(w.Graph.Len())
-	if n <= 0 {
+	if n <= 0 || w.idealFit(budget, opt) != nil {
 		return 1
 	}
 	base := n * math.Sqrt(n) / 10
@@ -383,10 +403,19 @@ func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions
 	return cost
 }
 
-// CheckpointAllPeak returns the peak memory of the no-rematerialization
-// policy — the budget above which rematerialization is unnecessary.
+// CheckpointAllPeak returns the peak memory of the checkpoint-all policy,
+// which retains every value to the end of the schedule. It is the top of the
+// budget range that sweeps and benchmarks span. Rematerialization already
+// becomes unnecessary at IdealPeak, which is never higher.
 func (w *Workload) CheckpointAllPeak() int64 {
 	return int64(core.CheckpointAll(w.Graph).Peak(w.Graph, w.Overhead))
+}
+
+// IdealPeak returns the peak memory of core.IdealSched, the leanest schedule
+// that computes every node once. At any budget at or above it that schedule
+// is optimal, and Solve serves it without running a solver (see Request).
+func (w *Workload) IdealPeak() int64 {
+	return int64(core.IdealSched(w.Graph).Peak(w.Graph, w.Overhead))
 }
 
 // MinBudget returns a lower bound on any feasible budget.
@@ -496,7 +525,10 @@ type Schedule struct {
 // checkpoint-all policy (1.0 = no recomputation cost).
 func (s *Schedule) Overhead() float64 { return s.Cost / s.IdealCost }
 
-func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, res *core.Result) (*Schedule, error) {
+// finish turns a solved schedule into its execution plan and simulates the
+// plan. Every method's schedule passes through here, so this is where a plan
+// that would overrun budget is refused rather than served.
+func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, budget int64, res *core.Result) (*Schedule, error) {
 	_, span := telemetry.StartSpan(ctx, "plan")
 	defer span.End()
 	plan, err := schedule.Generate(w.Graph, s)
@@ -507,6 +539,9 @@ func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, res 
 	sim, err := schedule.Simulate(w.Graph, plan, w.Overhead)
 	if err != nil {
 		return nil, err
+	}
+	if sim.PeakBytes > budget {
+		return nil, fmt.Errorf("checkmate: plan peaks at %d bytes, over its budget of %d", sim.PeakBytes, budget)
 	}
 	out := &Schedule{
 		Sched:     s,

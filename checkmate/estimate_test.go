@@ -25,12 +25,40 @@ func chainWorkload(t testing.TB, n int) *Workload {
 	return wl
 }
 
+// trainingWorkload builds a training-shaped DAG of 2n unit nodes: a forward
+// chain and its backward mirror, where each gradient consumes its forward
+// twin and the previous gradient. Every forward value lives until its
+// gradient runs, so IdealPeak (n+1) lies well above MinBudget (3) and the
+// budgets between them need a solver. On chainWorkload the two are equal.
+func trainingWorkload(t testing.TB, n int) *Workload {
+	t.Helper()
+	g := graph.New(2 * n)
+	for i := 0; i < n; i++ {
+		g.AddNode(graph.Node{Name: fmt.Sprintf("f%d", i), Cost: 1, Mem: 1})
+		if i > 0 {
+			g.MustEdge(graph.NodeID(i-1), graph.NodeID(i))
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		grad := g.AddNode(graph.Node{Name: fmt.Sprintf("grad%d", i), Cost: 1, Mem: 1, Backward: true})
+		g.MustEdge(graph.NodeID(i), grad)
+		if i < n-1 {
+			g.MustEdge(grad-1, grad)
+		}
+	}
+	wl, err := FromGraph(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
+}
+
 func TestEstimateSolveCostGrowsWithGraphSize(t *testing.T) {
 	opt := SolveOptions{TimeLimit: time.Hour}
-	small := chainWorkload(t, 10)
-	large := chainWorkload(t, 100)
-	cs := small.EstimateSolveCost(small.CheckpointAllPeak(), opt, false)
-	cl := large.EstimateSolveCost(large.CheckpointAllPeak(), opt, false)
+	small := trainingWorkload(t, 5)
+	large := trainingWorkload(t, 50)
+	cs := small.EstimateSolveCost(small.MinBudget(), opt, false)
+	cl := large.EstimateSolveCost(large.MinBudget(), opt, false)
 	if cl <= cs {
 		t.Fatalf("100-node estimate %v not above 10-node estimate %v", cl, cs)
 	}
@@ -41,23 +69,23 @@ func TestEstimateSolveCostGrowsWithGraphSize(t *testing.T) {
 }
 
 func TestEstimateSolveCostGrowsWithBudgetTightness(t *testing.T) {
-	wl := chainWorkload(t, 40)
+	wl := trainingWorkload(t, 20)
 	opt := SolveOptions{TimeLimit: time.Hour}
 	loose := wl.EstimateSolveCost(wl.CheckpointAllPeak(), opt, false)
 	tight := wl.EstimateSolveCost(wl.MinBudget(), opt, false)
 	if tight <= loose {
 		t.Fatalf("tight-budget estimate %v not above loose-budget %v", tight, loose)
 	}
-	mid := wl.EstimateSolveCost((wl.MinBudget()+wl.CheckpointAllPeak())/2, opt, false)
+	mid := wl.EstimateSolveCost((wl.MinBudget()+wl.IdealPeak())/2, opt, false)
 	if mid <= loose || mid >= tight {
 		t.Fatalf("mid-budget estimate %v not between %v and %v", mid, loose, tight)
 	}
 }
 
 func TestEstimateSolveCostApproxCheaperThanOptimal(t *testing.T) {
-	wl := chainWorkload(t, 40)
+	wl := trainingWorkload(t, 20)
 	opt := SolveOptions{TimeLimit: time.Hour}
-	budget := (wl.MinBudget() + wl.CheckpointAllPeak()) / 2
+	budget := (wl.MinBudget() + wl.IdealPeak()) / 2
 	optimal := wl.EstimateSolveCost(budget, opt, false)
 	apx := wl.EstimateSolveCost(budget, opt, true)
 	if apx >= optimal {
@@ -71,7 +99,7 @@ func TestEstimateSolveCostApproxCheaperThanOptimal(t *testing.T) {
 }
 
 func TestEstimateSolveCostCappedByTimeLimit(t *testing.T) {
-	wl := chainWorkload(t, 500)
+	wl := trainingWorkload(t, 250)
 	got := wl.EstimateSolveCost(wl.MinBudget(), SolveOptions{TimeLimit: 100 * time.Millisecond}, false)
 	if got > 100 {
 		t.Fatalf("estimate %v exceeds the 100 ms time-limit cap", got)

@@ -171,7 +171,8 @@ type Event struct {
 	Budget int64
 
 	// Vars and Rows are the MILP dimensions (Started; zero for the approx
-	// and baseline methods, which build no integer program).
+	// and baseline methods, which build no integer program, and for a
+	// request the presolve served, which builds no program at all).
 	Vars, Rows int
 
 	// Objective is the incumbent schedule cost in the workload's cost
@@ -218,6 +219,14 @@ func (f ObserverFunc) OnEvent(e Event) { f(e) }
 
 // Request describes one solve for the unified entry point. The zero value
 // of every optional field selects the documented default.
+//
+// A single-budget request whose method resolves to Optimal, Interval, Approx
+// or Anytime, and whose Budget is at least Workload.IdealPeak, is presolved:
+// Solve serves core.IdealSched, which computes every node once, without
+// building a formulation. Its cost is the ideal, a proven optimum, so the
+// Schedule reports Optimal (false for Approx, which never claims it),
+// Method Optimal for Anytime, and zero Solver, Nodes, LPVars and LPRows.
+// Unpartitioned requests, baselines and sweeps always run their solver.
 type Request struct {
 	// Workload is the scheduling problem (required).
 	Workload *Workload
@@ -363,6 +372,12 @@ func Solve(ctx context.Context, req Request) (*Schedule, error) {
 	case req.Budget <= 0:
 		err = fmt.Errorf("checkmate: Request.Budget must be positive, got %d", req.Budget)
 	default:
+		var ideal bool
+		if sched, ideal, err = w.solveIdealRequest(ctx, req, method, em); ideal {
+			// The trace has no solver span; the attribute says why.
+			rootSpan.SetAttr("ideal", true)
+			break
+		}
 		switch method {
 		case Optimal:
 			sched, err = w.solveOptimalRequest(ctx, req, em)
@@ -452,7 +467,49 @@ func (w *Workload) resultSchedule(ctx context.Context, res *core.Result, budget 
 	case milp.StatusLimit:
 		return nil, fmt.Errorf("%w: budget %d", ErrSolveLimit, budget)
 	}
-	return w.finish(ctx, res.Sched, res.Status == milp.StatusOptimal, res)
+	return w.finish(ctx, res.Sched, res.Status == milp.StatusOptimal, budget, res)
+}
+
+// solveIdealRequest is the presolve step of Solve: when the budget fits
+// core.IdealSched, that schedule is served as it stands, before any solver
+// runs. It costs Σ C_i, which no schedule under (8a) undercuts, so it is an
+// optimum of Optimal, Interval and Approx alike, and the first rung of
+// Anytime serves it. The step applies to those four methods only: baselines
+// keep their heuristic, and without frontier-advancing stages (Unpartitioned)
+// the ideal cost is no lower bound. ideal reports whether the step applied;
+// when it did not, nothing was done.
+func (w *Workload) solveIdealRequest(ctx context.Context, req Request, method Method, em *emitter) (sched *Schedule, ideal bool, err error) {
+	switch method {
+	case Optimal, Interval, Approx, Anytime:
+	default:
+		return nil, false, nil
+	}
+	opt := req.options()
+	start := time.Now()
+	s := w.idealFit(req.Budget, opt)
+	if s == nil {
+		return nil, false, nil
+	}
+	tctx, cancel := context.WithTimeout(ctx, opt.TimeLimit)
+	defer cancel()
+	if err := tctx.Err(); err != nil {
+		return nil, true, solveCtxErr(err, "presolve")
+	}
+	// Approx never proves optimality; the presolve keeps it that way.
+	sched, err = w.finish(tctx, s, method != Approx, req.Budget, nil)
+	if err != nil {
+		return nil, true, err
+	}
+	if err := tctx.Err(); err != nil {
+		return nil, true, solveCtxErr(err, "presolve")
+	}
+	if method == Anytime {
+		sched.Method = Optimal // the ladder's first rung, not degraded
+	}
+	sched.SolveTime = time.Since(start)
+	em.started(req.Budget, 0, 0)
+	em.incumbent(sched.Cost, sched.Cost)
+	return sched, true, nil
 }
 
 // solveApproxRequest runs the two-phase-rounding ε-search under the
@@ -477,7 +534,7 @@ func (w *Workload) solveApproxRequest(ctx context.Context, req Request, em *emit
 	if err != nil {
 		return nil, err
 	}
-	sched, err := w.finish(ctx, r.Sched, false, nil)
+	sched, err := w.finish(ctx, r.Sched, false, req.Budget, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +576,7 @@ func (w *Workload) solveBaselineRequest(ctx context.Context, req Request, em *em
 	tctx, cancel := context.WithTimeout(ctx, req.options().TimeLimit)
 	defer cancel()
 	if err := tctx.Err(); err != nil {
-		return nil, baselineCtxErr(err)
+		return nil, solveCtxErr(err, "baseline")
 	}
 	tg, err := w.BaselineTarget()
 	if err != nil {
@@ -558,7 +615,7 @@ func (w *Workload) solveBaselineRequest(ctx context.Context, req Request, em *em
 		return nil, fmt.Errorf("checkmate: unknown baseline %q (valid: %v)", name, BaselineNames())
 	}
 	if err := tctx.Err(); err != nil {
-		return nil, baselineCtxErr(err)
+		return nil, solveCtxErr(err, "baseline")
 	}
 	var best *baselines.Point
 	for i := range pts {
@@ -574,15 +631,16 @@ func (w *Workload) solveBaselineRequest(ctx context.Context, req Request, em *em
 		return nil, fmt.Errorf("%w: baseline %q needs more than budget %d", ErrInfeasible, name, req.Budget)
 	}
 	em.incumbent(best.Cost, math.Inf(-1))
-	return w.finish(tctx, best.Sched, false, nil)
+	return w.finish(tctx, best.Sched, false, req.Budget, nil)
 }
 
-// baselineCtxErr maps context termination onto the solve-error taxonomy: a
-// deadline is the time limit expiring (ErrSolveLimit, like the optimal
-// search), cancellation is the caller's and passes through.
-func baselineCtxErr(err error) error {
+// solveCtxErr maps the context termination of a step that cannot be
+// interrupted midway (a baseline heuristic, the presolve) onto the
+// solve-error taxonomy: a deadline is the time limit expiring (ErrSolveLimit,
+// like the optimal search), cancellation is the caller's and passes through.
+func solveCtxErr(err error, step string) error {
 	if errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("%w: baseline time limit", ErrSolveLimit)
+		return fmt.Errorf("%w: %s time limit", ErrSolveLimit, step)
 	}
 	return err
 }

@@ -261,16 +261,45 @@ func (s *Sched) CheckNoDoubleFree(g *graph.Graph) error {
 	return nil
 }
 
-// CheckpointAll returns the paper's "Checkpoint all" ideal schedule: every
-// node is computed exactly once at its frontier stage and retained for all
-// later stages. It is the cost-optimal schedule when memory is unlimited and
-// matches the default behaviour of TensorFlow/PyTorch (Section 2).
+// CheckpointAll returns the paper's "Checkpoint all" schedule: every node is
+// computed exactly once at its frontier stage and retained for all later
+// stages, to the end of the schedule, whether or not anything still uses it.
+// It is cost-optimal when memory is unlimited and matches the default
+// behaviour of TensorFlow/PyTorch (Section 2), but IdealSched has the same
+// cost at a peak that is never higher: retention past a value's last use only
+// adds memory.
 func CheckpointAll(g *graph.Graph) *Sched {
 	n := g.Len()
 	s := NewSched(n, g.NumEdges())
 	for t := 0; t < n; t++ {
 		s.R[t][t] = true
 		for i := 0; i < t; i++ {
+			s.S[t][i] = true
+		}
+	}
+	s.ComputeFree(g)
+	return s
+}
+
+// IdealSched returns the schedule without recomputation that needs the least
+// memory: every node is computed once, in its own frontier stage, and each
+// value is retained from the stage after its creation through the stage of
+// its last user. Any frontier-advancing schedule that computes every node
+// once must retain at least these values — (1b) makes a user's dependency
+// resident in the user's stage, and (1c) carries it back to its creation —
+// and retention only adds memory, so none peaks lower. Its cost is Σ C_i,
+// the least objective (1a) admits under (8a); a budget that fits its peak is
+// therefore solved by it, with no LP.
+func IdealSched(g *graph.Graph) *Sched {
+	n := g.Len()
+	s := NewSched(n, g.NumEdges())
+	for i := 0; i < n; i++ {
+		s.R[i][i] = true
+		last := i
+		for _, u := range g.Users(graph.NodeID(i)) {
+			last = max(last, int(u))
+		}
+		for t := i + 1; t <= last; t++ {
 			s.S[t][i] = true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -104,13 +105,82 @@ type Result struct {
 
 // SolveILP builds and optimizes the complete MILP (9) for the instance,
 // returning the best schedule found. A feasible result is returned even when
-// optimality was not proven within the limits (Status reports which).
+// optimality was not proven within the limits (Status reports which). A
+// returned schedule always fits the budget (see fitBudget).
 //
 // When ctx is cancelled the branch-and-bound search (and any in-flight
 // simplex solve) stops promptly and ctx.Err() is returned. Long-lived
 // callers — the planning service — use this to bound per-request solve time
 // and to abandon solves whose clients have gone away.
 func SolveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, error) {
+	start := time.Now()
+	res, err := solveILP(ctx, inst, opt)
+	if err != nil || res.Sched == nil {
+		return res, err
+	}
+	return fitBudget(ctx, inst, opt, res, start)
+}
+
+// maxBudgetRefits bounds fitBudget's re-solves against a defect that no
+// lowering cures. Each refit at least triples the distance below the budget,
+// so 16 reach far past any tolerance band; the time limit bounds them too.
+const maxBudgetRefits = 16
+
+// fitBudget makes sure a solved schedule fits its budget. The search takes
+// an LP solution within milp's integrality tolerance as integral and rounds
+// it, so the budget rows hold only to about that tolerance times the
+// formulation's memory scale: a few bytes to a few hundred, within which a
+// schedule can overrun the budget. Such a schedule is never returned: the
+// instance is solved again at a lower budget until its schedule fits. The
+// first solve's bound covers every schedule within the true budget, so it
+// stays the reported bound, and a refit schedule counts as optimal only when
+// it meets that bound. A refit that finds no schedule reports StatusLimit:
+// the schedules just under the budget were not searched, so infeasibility
+// is not proven.
+func fitBudget(ctx context.Context, inst Instance, opt SolveOptions, res *Result, start time.Time) (*Result, error) {
+	peak := func(s *Sched) int64 { return int64(math.Ceil(s.Peak(inst.G, inst.Overhead))) }
+	if peak(res.Sched) <= inst.Budget {
+		return res, nil
+	}
+	bound, nodes := res.Bound, res.Nodes
+	lowered := inst
+	// One Started per budget: the refits continue the same solve.
+	opt.Progress.Started = nil
+	for refit := 0; res.Sched != nil && peak(res.Sched) > inst.Budget; refit++ {
+		if refit == maxBudgetRefits {
+			return nil, fmt.Errorf("core: schedule still over budget %d after %d re-solves", inst.Budget, refit)
+		}
+		lowered.Budget -= 2 * (peak(res.Sched) - lowered.Budget)
+		ropt := opt
+		if opt.TimeLimit > 0 {
+			if ropt.TimeLimit = opt.TimeLimit - time.Since(start); ropt.TimeLimit <= 0 {
+				return &Result{Status: milp.StatusLimit, Bound: bound, Nodes: nodes, SolveTime: time.Since(start)}, nil
+			}
+		}
+		var err error
+		if res, err = solveILP(ctx, lowered, ropt); err != nil {
+			return nil, err
+		}
+		nodes += res.Nodes
+	}
+	res.Nodes, res.SolveTime = nodes, time.Since(start)
+	res.Bound = math.Min(res.Bound, bound)
+	if res.Sched == nil {
+		res.Status = milp.StatusLimit
+		return res, nil
+	}
+	relGap := opt.RelGap
+	if relGap == 0 {
+		relGap = 1e-6 // milp's default
+	}
+	if res.Status == milp.StatusOptimal && res.Cost-res.Bound > relGap*math.Abs(res.Cost) {
+		res.Status = milp.StatusFeasible
+	}
+	return res, nil
+}
+
+// solveILP is one MILP solve of the instance; SolveILP adds the budget fit.
+func solveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, error) {
 	_, bspan := telemetry.StartSpan(ctx, "presolve")
 	f, err := Build(inst, BuildOptions{FrontierAdvancing: !opt.Unpartitioned, CostCap: opt.CostCap, AggregatedFree: opt.AggregatedFree})
 	if err != nil {

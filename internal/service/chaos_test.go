@@ -26,11 +26,11 @@ import (
 	"repro/internal/service/api"
 )
 
-// chainBudgets returns (min, checkpoint-all-peak) for chainSpec(n), so chaos
-// requests can aim budgets at the interesting middle of the range.
-func chainBudgets(t *testing.T, n int) (int64, int64) {
+// trainingBudgets returns (min, ideal peak) for trainingSpec(n), so chaos
+// requests can aim budgets at the range where a solver has to search.
+func trainingBudgets(t *testing.T, n int) (int64, int64) {
 	t.Helper()
-	g, err := chainSpec(n).Build()
+	g, err := trainingSpec(n).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func chainBudgets(t *testing.T, n int) (int64, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wl.MinBudget(), wl.CheckpointAllPeak()
+	return wl.MinBudget(), wl.IdealPeak()
 }
 
 func getJSON(t *testing.T, url string, out any) {
@@ -123,9 +123,9 @@ func TestChaosWorkerPanicDegradesToFallback(t *testing.T) {
 	}))()
 	_, ts := testServer(t)
 
-	minB, peak := chainBudgets(t, 12)
+	minB, peak := trainingBudgets(t, 6)
 	resp, errResp := postSolve(t, ts, api.SolveRequest{
-		Graph: chainSpec(12), Budget: (minB + peak) / 2, Method: "anytime", TimeLimitMS: 60_000,
+		Graph: trainingSpec(6), Budget: (minB + peak) / 2, Method: "anytime", TimeLimitMS: 60_000,
 	})
 	if errResp != nil {
 		t.Fatalf("anytime solve under worker panics: HTTP %d %s", errResp.StatusCode, errResp.Status)
@@ -173,10 +173,10 @@ func TestChaosDeadlineShorterThanOptimal(t *testing.T) {
 	}))()
 	_, ts := testServer(t)
 
-	minB, peak := chainBudgets(t, 16)
+	minB, peak := trainingBudgets(t, 8)
 	start := time.Now()
 	resp, errResp := postSolve(t, ts, api.SolveRequest{
-		Graph: chainSpec(16), Budget: (minB + peak) / 2, Method: "anytime", TimeLimitMS: 400,
+		Graph: trainingSpec(8), Budget: (minB + peak) / 2, Method: "anytime", TimeLimitMS: 400,
 	})
 	elapsed := time.Since(start)
 	if errResp != nil {

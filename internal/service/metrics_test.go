@@ -62,7 +62,7 @@ func metricValue(t *testing.T, body, series string) float64 {
 // moved.
 func TestMetricsExposition(t *testing.T) {
 	_, ts := testServer(t)
-	if _, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(10), Budget: 6}); errResp != nil {
+	if _, errResp := postSolve(t, ts, api.SolveRequest{Graph: trainingSpec(6), Budget: 6}); errResp != nil {
 		t.Fatalf("solve failed: HTTP %d %s", errResp.StatusCode, errResp.Status)
 	}
 	body := scrapeMetrics(t, ts)
@@ -386,7 +386,7 @@ func TestStatsConcurrentWithSolves(t *testing.T) {
 // keys.
 func TestSolveTraceEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	solved, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(10), Budget: 6})
+	solved, errResp := postSolve(t, ts, api.SolveRequest{Graph: trainingSpec(6), Budget: 6})
 	if errResp != nil {
 		t.Fatalf("solve failed: HTTP %d %s", errResp.StatusCode, errResp.Status)
 	}

@@ -65,6 +65,31 @@ func chainSpec(n int) *api.GraphSpec {
 	return s
 }
 
+// trainingSpec builds a training-shaped DAG of 2n unit-cost unit-memory
+// nodes: a forward chain and its backward mirror, where each gradient
+// consumes its forward twin and the previous gradient. Its ideal peak is n+1
+// against a MinBudget of 3, so the budgets between them need a solver. On
+// chainSpec every feasible budget fits the ideal schedule, and Solve serves
+// it without one.
+func trainingSpec(n int) *api.GraphSpec {
+	s := &api.GraphSpec{}
+	for i := 0; i < n; i++ {
+		s.Nodes = append(s.Nodes, api.NodeSpec{Name: fmt.Sprintf("f%d", i), Cost: 1, Mem: 1})
+		if i > 0 {
+			s.Edges = append(s.Edges, [2]int{i - 1, i})
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		grad := len(s.Nodes)
+		s.Nodes = append(s.Nodes, api.NodeSpec{Name: fmt.Sprintf("grad%d", i), Cost: 1, Mem: 1, Backward: true})
+		s.Edges = append(s.Edges, [2]int{i, grad})
+		if i < n-1 {
+			s.Edges = append(s.Edges, [2]int{grad - 1, grad})
+		}
+	}
+	return s
+}
+
 func postSolve(t *testing.T, ts *httptest.Server, req any) (*api.SolveResponse, *http.Response) {
 	t.Helper()
 	body, _ := json.Marshal(req)
@@ -418,7 +443,7 @@ func TestSolveCancellation(t *testing.T) {
 	// request is cancelled.
 	defer holdFirstNode(200 * time.Millisecond)()
 	srv, _ := testServer(t)
-	wl, err := buildTestWorkload(srv, chainSpec(48))
+	wl, err := buildTestWorkload(srv, trainingSpec(24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +509,7 @@ func TestSolverStatsAndThreads(t *testing.T) {
 		Workers: 2, QueueCap: 16, CacheCap: 32,
 		DefaultTimeLimit: 20 * time.Second, SolveThreads: 2,
 	})
-	resp, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(8), Budget: 6})
+	resp, errResp := postSolve(t, ts, api.SolveRequest{Graph: trainingSpec(6), Budget: 6})
 	if errResp != nil {
 		t.Fatalf("solve failed: %d %s", errResp.StatusCode, errResp.Status)
 	}
@@ -506,7 +531,7 @@ func TestSolverStatsAndThreads(t *testing.T) {
 	}
 	// Serial and parallel configs must agree on the optimal overhead.
 	_, ts1 := testServerCfg(t, Config{Workers: 1, DefaultTimeLimit: 20 * time.Second})
-	resp1, errResp1 := postSolve(t, ts1, api.SolveRequest{Graph: chainSpec(8), Budget: 6})
+	resp1, errResp1 := postSolve(t, ts1, api.SolveRequest{Graph: trainingSpec(6), Budget: 6})
 	if errResp1 != nil {
 		t.Fatalf("serial solve failed: %d %s", errResp1.StatusCode, errResp1.Status)
 	}

@@ -263,7 +263,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SolveRequest
-	if err := requestFromQuery(r.URL.Query(), &req); err != nil {
+	if err := api.DecodeQuery(r.URL.Query(), &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -72,8 +72,8 @@ func readSSE(t *testing.T, body io.Reader) (frames []api.StreamEvent, heartbeats
 // schedule must equal the blocking /v1/solve result for the same SolveKey.
 func TestStreamEventOrdering(t *testing.T) {
 	srv, ts := testServer(t)
-	spec := chainSpec(12)
-	const budget = 7 // well under the checkpoint-all peak: the solver must search
+	spec := trainingSpec(7)
+	const budget = 7 // under the ideal peak (8): the solver must search
 
 	resp, err := http.Get(streamURL(ts, spec, budget, ""))
 	if err != nil {
@@ -183,7 +183,7 @@ func TestStreamClientCancellationStopsSolve(t *testing.T) {
 	// Hold the solve at its root expansion so it outlives the disconnect.
 	defer holdFirstNode(200 * time.Millisecond)()
 	srv, ts := testServer(t)
-	spec := chainSpec(48)
+	spec := trainingSpec(24)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		streamURL(ts, spec, 8, "time_limit_ms=60000"), nil)
@@ -302,7 +302,7 @@ func TestStreamAttachesToInFlightBlockingSolve(t *testing.T) {
 	// is still in flight.
 	defer holdFirstNode(200 * time.Millisecond)()
 	srv, ts := testServer(t)
-	spec := chainSpec(48)
+	spec := trainingSpec(24)
 	const budget = 8
 
 	// Start the blocking solve and wait until it occupies a worker.
@@ -562,7 +562,7 @@ func TestStreamHeartbeats(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		streamURL(ts, chainSpec(48), 8, "time_limit_ms=60000"), nil)
+		streamURL(ts, trainingSpec(24), 8, "time_limit_ms=60000"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SweepRequest
-	if err := requestFromQuery(r.URL.Query(), &req); err != nil {
+	if err := api.DecodeQuery(r.URL.Query(), &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/autodiff"
@@ -89,6 +90,16 @@ type Workload struct {
 	Graph *graph.Graph
 	// Overhead is M_input + 2·M_param (eq. (2)).
 	Overhead int64
+
+	// ideal memoizes IdealPeak for the Graph and Overhead it was computed
+	// from.
+	ideal atomic.Pointer[idealPeak]
+}
+
+type idealPeak struct {
+	g        *graph.Graph
+	overhead int64
+	peak     int64
 }
 
 // Models lists the available architecture names.
@@ -203,7 +214,7 @@ func (w *Workload) SolveKey(budget int64, opt SolveOptions, approximate bool) gr
 // ceiling on how much work the solver is allowed to do.
 func (w *Workload) EstimateSolveCost(budget int64, opt SolveOptions, approximate bool) float64 {
 	n := float64(w.Graph.Len())
-	if n <= 0 || w.idealFit(budget, opt) != nil {
+	if n <= 0 || w.idealFits(budget, opt) {
 		return 1
 	}
 	// n^2.5, scaled so a ~100-node graph lands near one second's worth of
@@ -252,19 +263,11 @@ func (w *Workload) EstimateSolveCost(budget int64, opt SolveOptions, approximate
 	return cost
 }
 
-// idealFit returns core.IdealSched when the budget fits it, so that no
-// solver search is needed, and nil otherwise. Without frontier-advancing
-// stages (8a) the ideal cost is no lower bound, so Unpartitioned solves
-// always search.
-func (w *Workload) idealFit(budget int64, opt SolveOptions) *core.Sched {
-	if opt.Unpartitioned {
-		return nil
-	}
-	s := core.IdealSched(w.Graph)
-	if float64(budget) < s.Peak(w.Graph, w.Overhead) {
-		return nil
-	}
-	return s
+// idealFits reports whether the budget fits core.IdealSched, so that no
+// solver search is needed. Without frontier-advancing stages (8a) the ideal
+// cost is no lower bound, so Unpartitioned solves always search.
+func (w *Workload) idealFits(budget int64, opt SolveOptions) bool {
+	return !opt.Unpartitioned && budget >= w.IdealPeak()
 }
 
 // autoDeadlineHeadroom is the overrun factor at which Auto reroutes to the
@@ -374,7 +377,7 @@ func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions
 		return w.EstimateSolveCost(budget, opt, m == Approx)
 	}
 	n := float64(w.Graph.Len())
-	if n <= 0 || w.idealFit(budget, opt) != nil {
+	if n <= 0 || w.idealFits(budget, opt) {
 		return 1
 	}
 	base := n * math.Sqrt(n) / 10
@@ -414,8 +417,14 @@ func (w *Workload) CheckpointAllPeak() int64 {
 // IdealPeak returns the peak memory of core.IdealSched, the leanest schedule
 // that computes every node once. At any budget at or above it that schedule
 // is optimal, and Solve serves it without running a solver (see Request).
+// The value is computed once per Graph and Overhead.
 func (w *Workload) IdealPeak() int64 {
-	return int64(core.IdealSched(w.Graph).Peak(w.Graph, w.Overhead))
+	if m := w.ideal.Load(); m != nil && m.g == w.Graph && m.overhead == w.Overhead {
+		return m.peak
+	}
+	m := &idealPeak{w.Graph, w.Overhead, int64(core.IdealSched(w.Graph).Peak(w.Graph, w.Overhead))}
+	w.ideal.Store(m)
+	return m.peak
 }
 
 // MinBudget returns a lower bound on any feasible budget.

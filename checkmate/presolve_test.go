@@ -292,3 +292,103 @@ func TestAutoPresolvableIgnoresTightDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveEventsHoldInRoundingBand: one byte under linear32's ideal peak
+// the MILP's first search meets a rounded schedule over the budget and
+// refits (core.SolveILP). The lossless event stream still describes one
+// solve: one Started, incumbents that never regress and end at the returned
+// cost, and bounds that never exceed it. The same holds for a sweep point
+// there, after a warm-started point.
+func TestSolveEventsHoldInRoundingBand(t *testing.T) {
+	wl, err := Load("linear32", Options{Batch: 4, CoarseSegments: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := wl.IdealPeak() - 1
+	obs := &collectObserver{}
+	sched, err := Solve(context.Background(), Request{Workload: wl, Budget: budget, TimeLimit: time.Minute, ProgressInterval: -1, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := obs.events
+	if last := ev[len(ev)-1]; last.Kind != EventDone || last.Schedule != sched {
+		t.Fatalf("stream does not end with done carrying the schedule: %+v", last)
+	}
+	checkSolveEvents(t, "optimal", ev[:len(ev)-1], sched)
+
+	obs = &collectObserver{}
+	budgets := []int64{wl.CheckpointAllPeak(), budget}
+	if _, err := Solve(context.Background(), Request{Workload: wl, Budgets: budgets, TimeLimit: time.Minute, ProgressInterval: -1, Observer: obs}); err != nil {
+		t.Fatal(err)
+	}
+	points, from := 0, 0
+	for i, e := range obs.events {
+		if e.Kind != EventSweepPoint {
+			continue
+		}
+		if e.Point.Schedule == nil {
+			t.Fatalf("sweep point at %d: %v", e.Point.Budget, e.Point.Err)
+		}
+		checkSolveEvents(t, fmt.Sprintf("sweep point at %d", e.Point.Budget), obs.events[from:i], e.Point.Schedule)
+		points, from = points+1, i+1
+	}
+	if points != len(budgets) {
+		t.Fatalf("%d sweep points for %d budgets", points, len(budgets))
+	}
+}
+
+// checkSolveEvents checks one solve's events, from Started up to its
+// terminal event, against the schedule the solve returned.
+func checkSolveEvents(t *testing.T, name string, ev []Event, sched *Schedule) {
+	t.Helper()
+	if sched.PeakBytes > ev[0].Budget {
+		t.Fatalf("%s: plan peaks at %d, over budget %d", name, sched.PeakBytes, ev[0].Budget)
+	}
+	if ev[0].Kind != EventStarted {
+		t.Fatalf("%s: first event %q, want started", name, ev[0].Kind)
+	}
+	lastObj, lastBound, incumbents := math.Inf(1), math.Inf(-1), 0
+	slack := 1e-9 * sched.Cost
+	for _, e := range ev[1:] {
+		switch e.Kind {
+		case EventIncumbent:
+			incumbents++
+			if e.Objective > lastObj {
+				t.Fatalf("%s: incumbent objective regressed: %v after %v", name, e.Objective, lastObj)
+			}
+			lastObj = e.Objective
+			if e.Bound > sched.Cost+slack {
+				t.Fatalf("%s: incumbent carries bound %v above the returned cost %v", name, e.Bound, sched.Cost)
+			}
+		case EventBound:
+			if e.Bound < lastBound || e.Bound > sched.Cost+slack {
+				t.Fatalf("%s: bound %v after %v, returned cost %v", name, e.Bound, lastBound, sched.Cost)
+			}
+			lastBound = e.Bound
+		default:
+			t.Fatalf("%s: unexpected %q event inside the solve", name, e.Kind)
+		}
+	}
+	if incumbents == 0 || lastObj != sched.Cost {
+		t.Fatalf("%s: %d incumbents, the last at %v; want the returned cost %v", name, incumbents, lastObj, sched.Cost)
+	}
+}
+
+// TestIdealPeakFollowsWorkload: IdealPeak is computed once per workload, and
+// again when its Graph or Overhead changes.
+func TestIdealPeakFollowsWorkload(t *testing.T) {
+	wl := trainingWorkload(t, 6)
+	peak := wl.IdealPeak()
+	if allocs := testing.AllocsPerRun(10, func() { wl.IdealPeak() }); allocs != 0 {
+		t.Fatalf("a known IdealPeak costs %v allocations per call, want none", allocs)
+	}
+	wl.Overhead += 100
+	if got := wl.IdealPeak(); got != peak+100 {
+		t.Fatalf("with 100 more bytes of overhead: IdealPeak %d, want %d", got, peak+100)
+	}
+	other := trainingWorkload(t, 9)
+	wl.Graph = other.Graph
+	if got, want := wl.IdealPeak(), other.IdealPeak()+100; got != want {
+		t.Fatalf("on another graph: IdealPeak %d, want %d", got, want)
+	}
+}

@@ -486,8 +486,7 @@ func (w *Workload) solveIdealRequest(ctx context.Context, req Request, method Me
 	}
 	opt := req.options()
 	start := time.Now()
-	s := w.idealFit(req.Budget, opt)
-	if s == nil {
+	if !w.idealFits(req.Budget, opt) {
 		return nil, false, nil
 	}
 	tctx, cancel := context.WithTimeout(ctx, opt.TimeLimit)
@@ -496,7 +495,7 @@ func (w *Workload) solveIdealRequest(ctx context.Context, req Request, method Me
 		return nil, true, solveCtxErr(err, "presolve")
 	}
 	// Approx never proves optimality; the presolve keeps it that way.
-	sched, err = w.finish(tctx, s, method != Approx, req.Budget, nil)
+	sched, err = w.finish(tctx, core.IdealSched(w.Graph), method != Approx, req.Budget, nil)
 	if err != nil {
 		return nil, true, err
 	}

@@ -21,9 +21,10 @@ func loadTest(t *testing.T, segments int) *Workload {
 // tightBudget returns a budget between MinBudget and IdealPeak: no schedule
 // without recomputation fits it, so the solver must actually search (and
 // therefore stream incumbents). Three quarters of the way up, linear32's
-// MILPs prove their optima in well under a second. The 1 KiB step down keeps
-// it clear of the bytes just under a schedule's peak, where the MILP's
-// tolerance leaves its answer refit and unproven (core.fitBudget).
+// MILPs prove their optima in well under a second. The tests that use it
+// need that proof, so the 1 KiB step down keeps it out of the rounding band
+// just under a schedule's peak, where core.SolveILP refits and cannot prove
+// its answer; TestSolveEventsHoldInRoundingBand covers that band.
 func tightBudget(wl *Workload) int64 {
 	minB := wl.MinBudget()
 	return minB + (wl.IdealPeak()-minB)*3/4 - 1<<10

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -53,6 +54,8 @@ type Formulation struct {
 	// enters the LP (see SetBudget).
 	budgetRows []int32
 	overhead   float64 // scaled Inst.Overhead
+	// budgetL1 is the largest coefficient sum of a budget row (scaled).
+	budgetL1 float64
 
 	solver *lp.Solver // Relax's engine, reused across budgets
 
@@ -270,13 +273,16 @@ func Build(inst Instance, opt BuildOptions) (*Formulation, error) {
 		edgesInto[e[1]] = append(edgesInto[e[1]], ei)
 	}
 	for t := 0; t < n; t++ {
-		// Accumulate the running expression for U_{t,k} as k advances.
+		// Accumulate the running expression for U_{t,k} as k advances, and
+		// its coefficient sum l1.
 		var idx []int32
 		var val []float64
+		l1 := 0.0
 		for i := 0; i < n; i++ {
 			if sv := sVar(t, i); sv >= 0 {
 				idx = append(idx, sv)
 				val = append(val, mem(i))
+				l1 += mem(i)
 			}
 		}
 		for k := 0; k < n; k++ {
@@ -285,7 +291,9 @@ func Build(inst Instance, opt BuildOptions) (*Formulation, error) {
 			}
 			idx = append(idx, rVar(t, k))
 			val = append(val, mem(k))
+			l1 += mem(k)
 			f.budgetRows = append(f.budgetRows, int32(p.AddRow(lp.LE, budget-overhead, idx, val)))
+			f.budgetL1 = max(f.budgetL1, l1)
 			// After evaluating k, its dependencies may be freed, lowering
 			// all subsequent U values in the stage.
 			for _, ei := range edgesInto[k] {
@@ -295,6 +303,7 @@ func Build(inst Instance, opt BuildOptions) (*Formulation, error) {
 				}
 				idx = append(idx, fv)
 				val = append(val, -mem(int(f.edges[ei][0])))
+				l1 += mem(int(f.edges[ei][0]))
 			}
 		}
 	}
@@ -508,6 +517,19 @@ func (f *Formulation) TrueCost(scaledObj float64) float64 {
 // Stats reports the formulation size, matching the paper's O(|V||E|) claim.
 func (f *Formulation) Stats() (vars, rows int) {
 	return f.Prob.LP.NumVars(), f.Prob.LP.NumRows()
+}
+
+// RoundingBand bounds, in bytes, how far past its budget a schedule the MILP
+// search takes as integral can be. The search rounds an LP point within
+// milp.DefaultIntTol of integral, which moves each R and S variable by up to
+// that tolerance; each FREE value, which follows from them, moves by up to
+// that plus the LP's own tolerance, lp.DefaultTol, which also lets a row
+// exceed its right-hand side. A budget row therefore moves by up to those
+// tolerances times its sizes. With the rows this far under a budget, every
+// schedule the search takes fits it.
+func (f *Formulation) RoundingBand() int64 {
+	band := ((milp.DefaultIntTol+lp.DefaultTol)*f.budgetL1 + lp.DefaultTol) * f.memScale
+	return int64(math.Ceil(band)) + 1
 }
 
 // SetBudget moves the formulation to another memory budget in place. The

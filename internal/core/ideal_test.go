@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/autodiff"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/milp"
 	"repro/internal/nets"
+	"repro/internal/telemetry"
 )
 
 // randomForward builds a random n-node DAG with integer costs and sizes: a
@@ -141,12 +143,10 @@ func TestIdealPeakIsTight(t *testing.T) {
 	}
 }
 
-// TestSolveILPFitsBudgetWithinTolerance: one byte under linear32's ideal
-// peak the MILP's budget rows, which hold only to its integrality tolerance
-// times the memory scale, admit the ideal schedule one byte over budget.
-// SolveILP refits it: the schedule it returns fits and recomputes, and the
-// bound it reports is still one every schedule within the budget respects.
-func TestSolveILPFitsBudgetWithinTolerance(t *testing.T) {
+// linear32 returns linear32's training graph at batch 4 and 12 segments,
+// with its overhead.
+func linear32(t *testing.T) (*graph.Graph, int64) {
+	t.Helper()
 	net, err := nets.ByName("linear32", nets.Config{Model: costmodel.NewRoofline(costmodel.V100()), Batch: 4, CoarseSegments: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +155,31 @@ func TestSolveILPFitsBudgetWithinTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, overhead := ad.Graph, net.Overhead()
+	return ad.Graph, net.Overhead()
+}
+
+// TestSolveILPFitsBudgetWithinTolerance: one byte under linear32's ideal
+// peak, rounding a near-integral LP point yields the ideal schedule, one
+// byte over budget. SolveILP refuses it and refits with its budget rows
+// RoundingBand bytes lower: the schedule it returns fits and recomputes, and
+// the bound it reports is one every schedule within the budget respects.
+// Its counters cover both searches, and its hooks see one solve.
+func TestSolveILPFitsBudgetWithinTolerance(t *testing.T) {
+	g, overhead := linear32(t)
 	budget := int64(IdealSched(g).Peak(g, overhead)) - 1
-	res, err := SolveILP(context.Background(), Instance{G: g, Budget: budget, Overhead: overhead}, SolveOptions{})
+	tr := telemetry.NewTrace()
+	started, bounds, last := 0, math.Inf(-1), math.Inf(1)
+	hooks := ProgressHooks{
+		Started: func(int64, int, int) { started++ },
+		Incumbent: func(cost, bound float64) {
+			if cost >= last || bound > cost {
+				t.Errorf("incumbent %v (bound %v) after %v", cost, bound, last)
+			}
+			last = cost
+		},
+		Bound: func(b float64) { bounds = math.Max(bounds, b) },
+	}
+	res, err := SolveILP(telemetry.WithTrace(context.Background(), tr), Instance{G: g, Budget: budget, Overhead: overhead}, SolveOptions{Progress: hooks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +192,60 @@ func TestSolveILPFitsBudgetWithinTolerance(t *testing.T) {
 	if res.Sched.Recomputations() == 0 {
 		t.Fatal("a schedule without recomputation cannot fit under the ideal peak")
 	}
-	if res.Bound > g.TotalCost() || res.Bound > res.Cost {
-		t.Fatalf("bound %v above the ideal %v or the cost %v", res.Bound, g.TotalCost(), res.Cost)
+	if res.Bound > res.Cost || bounds > res.Bound {
+		t.Fatalf("bound %v (reported up to %v) above the cost %v", res.Bound, bounds, res.Cost)
+	}
+	if res.Status == milp.StatusOptimal && res.Cost-res.Bound > milp.DefaultRelGap*res.Cost {
+		t.Fatalf("optimal at cost %v with bound %v", res.Cost, res.Bound)
+	}
+	if started != 1 || last != res.Cost {
+		t.Fatalf("%d started hooks, last incumbent %v; want one, and the cost %v", started, last, res.Cost)
+	}
+	searches, nodes, rootIters := 0, 0, 0
+	for _, sp := range tr.Spans() {
+		for _, a := range sp.Attrs {
+			switch {
+			case sp.Name == "branch_and_bound" && a.Key == "nodes":
+				searches++
+				nodes += a.Value.(int)
+			case sp.Name == "root_lp" && a.Key == "iters":
+				rootIters += a.Value.(int)
+			}
+		}
+	}
+	if searches != 2 || res.Nodes != nodes || res.Solver.RootIters != int64(rootIters) {
+		t.Fatalf("%d searches of %d nodes and %d root iterations; result counts %d nodes and %d root iterations",
+			searches, nodes, rootIters, res.Nodes, res.Solver.RootIters)
+	}
+}
+
+// TestRefitReportsOnlyImprovements: the refit continues the first search
+// for the caller's hooks. Handed a first search whose schedule it cannot
+// beat, it reports no Started, no incumbent and no bound, and returns that
+// schedule under the first search's bound.
+func TestRefitReportsOnlyImprovements(t *testing.T) {
+	g, overhead := linear32(t)
+	inst := Instance{G: g, Budget: int64(IdealSched(g).Peak(g, overhead)) - 1, Overhead: overhead}
+	ref, err := SolveILP(context.Background(), inst, SolveOptions{})
+	if err != nil || ref.Sched == nil {
+		t.Fatalf("reference solve: %v", err)
+	}
+	f, err := Build(inst, BuildOptions{FrontierAdvancing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := 0
+	hooks := ProgressHooks{
+		Started:   func(int64, int, int) { reported++ },
+		Incumbent: func(float64, float64) { reported++ },
+		Bound:     func(float64) { reported++ },
+	}
+	first := &Result{Sched: ref.Sched, Cost: ref.Cost, Bound: ref.Bound, Status: milp.StatusFeasible}
+	res, err := refitILP(context.Background(), f, SolveOptions{Progress: hooks}, first, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reported != 0 || res.Sched != ref.Sched || res.Bound != ref.Bound {
+		t.Fatalf("%d hook calls; schedule %p bound %v, want none, %p and %v", reported, res.Sched, res.Bound, ref.Sched, ref.Bound)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -106,81 +108,13 @@ type Result struct {
 // SolveILP builds and optimizes the complete MILP (9) for the instance,
 // returning the best schedule found. A feasible result is returned even when
 // optimality was not proven within the limits (Status reports which). A
-// returned schedule always fits the budget (see fitBudget).
+// returned schedule always fits the budget (see refitILP).
 //
 // When ctx is cancelled the branch-and-bound search (and any in-flight
 // simplex solve) stops promptly and ctx.Err() is returned. Long-lived
 // callers — the planning service — use this to bound per-request solve time
 // and to abandon solves whose clients have gone away.
 func SolveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, error) {
-	start := time.Now()
-	res, err := solveILP(ctx, inst, opt)
-	if err != nil || res.Sched == nil {
-		return res, err
-	}
-	return fitBudget(ctx, inst, opt, res, start)
-}
-
-// maxBudgetRefits bounds fitBudget's re-solves against a defect that no
-// lowering cures. Each refit at least triples the distance below the budget,
-// so 16 reach far past any tolerance band; the time limit bounds them too.
-const maxBudgetRefits = 16
-
-// fitBudget makes sure a solved schedule fits its budget. The search takes
-// an LP solution within milp's integrality tolerance as integral and rounds
-// it, so the budget rows hold only to about that tolerance times the
-// formulation's memory scale: a few bytes to a few hundred, within which a
-// schedule can overrun the budget. Such a schedule is never returned: the
-// instance is solved again at a lower budget until its schedule fits. The
-// first solve's bound covers every schedule within the true budget, so it
-// stays the reported bound, and a refit schedule counts as optimal only when
-// it meets that bound. A refit that finds no schedule reports StatusLimit:
-// the schedules just under the budget were not searched, so infeasibility
-// is not proven.
-func fitBudget(ctx context.Context, inst Instance, opt SolveOptions, res *Result, start time.Time) (*Result, error) {
-	peak := func(s *Sched) int64 { return int64(math.Ceil(s.Peak(inst.G, inst.Overhead))) }
-	if peak(res.Sched) <= inst.Budget {
-		return res, nil
-	}
-	bound, nodes := res.Bound, res.Nodes
-	lowered := inst
-	// One Started per budget: the refits continue the same solve.
-	opt.Progress.Started = nil
-	for refit := 0; res.Sched != nil && peak(res.Sched) > inst.Budget; refit++ {
-		if refit == maxBudgetRefits {
-			return nil, fmt.Errorf("core: schedule still over budget %d after %d re-solves", inst.Budget, refit)
-		}
-		lowered.Budget -= 2 * (peak(res.Sched) - lowered.Budget)
-		ropt := opt
-		if opt.TimeLimit > 0 {
-			if ropt.TimeLimit = opt.TimeLimit - time.Since(start); ropt.TimeLimit <= 0 {
-				return &Result{Status: milp.StatusLimit, Bound: bound, Nodes: nodes, SolveTime: time.Since(start)}, nil
-			}
-		}
-		var err error
-		if res, err = solveILP(ctx, lowered, ropt); err != nil {
-			return nil, err
-		}
-		nodes += res.Nodes
-	}
-	res.Nodes, res.SolveTime = nodes, time.Since(start)
-	res.Bound = math.Min(res.Bound, bound)
-	if res.Sched == nil {
-		res.Status = milp.StatusLimit
-		return res, nil
-	}
-	relGap := opt.RelGap
-	if relGap == 0 {
-		relGap = 1e-6 // milp's default
-	}
-	if res.Status == milp.StatusOptimal && res.Cost-res.Bound > relGap*math.Abs(res.Cost) {
-		res.Status = milp.StatusFeasible
-	}
-	return res, nil
-}
-
-// solveILP is one MILP solve of the instance; SolveILP adds the budget fit.
-func solveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, error) {
 	_, bspan := telemetry.StartSpan(ctx, "presolve")
 	f, err := Build(inst, BuildOptions{FrontierAdvancing: !opt.Unpartitioned, CostCap: opt.CostCap, AggregatedFree: opt.AggregatedFree})
 	if err != nil {
@@ -191,10 +125,31 @@ func solveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, er
 	bspan.SetAttr("vars", v)
 	bspan.SetAttr("rows", r)
 	bspan.End()
+	if opt.Progress.Started != nil {
+		opt.Progress.Started(inst.Budget, v, r)
+	}
 	start := time.Now()
+	res, overran, err := searchILP(ctx, f, inst.Budget, opt)
+	if err != nil || !overran {
+		return res, err
+	}
+	return refitILP(ctx, f, opt, res, start)
+}
 
-	mctx, mspan := telemetry.StartSpan(ctx, "branch_and_bound", telemetry.A("budget", inst.Budget))
+// searchILP runs branch-and-bound on f. Every schedule it takes must fit
+// budget bytes. The search accepts an LP point within its integrality
+// tolerance as integral and rounds it, and a budget row's sizes are large
+// enough that the rounding can carry a schedule a few bytes past the budget.
+// Such a point never becomes the incumbent: the search stops at once and
+// reports overran, and the caller refits.
+func searchILP(ctx context.Context, f *Formulation, budget int64, opt SolveOptions) (res *Result, overran bool, err error) {
+	start := time.Now()
+	g, overhead := f.Inst.G, f.Inst.Overhead
+	mctx, mspan := telemetry.StartSpan(ctx, "branch_and_bound", telemetry.A("budget", f.Inst.Budget))
 	defer mspan.End()
+	mctx, stop := context.WithCancel(mctx)
+	defer stop()
+	var over atomic.Bool
 
 	mopt := milp.Options{
 		TimeLimit: opt.TimeLimit,
@@ -205,13 +160,17 @@ func solveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, er
 		RootBasis: opt.RootBasis,
 		ColdStart: opt.ColdStart,
 		LPOpts:    lp.Options{Dantzig: opt.Dantzig},
+		Accept: func(x []float64) bool {
+			if f.ExtractSched(x).Peak(g, overhead) <= float64(budget) {
+				return true
+			}
+			over.Store(true)
+			stop()
+			return false
+		},
 	}
 	if opt.MostFractional {
 		mopt.Branch = milp.BranchMostFractional
-	}
-	if opt.Progress.Started != nil {
-		v, r := f.Stats()
-		opt.Progress.Started(inst.Budget, v, r)
 	}
 	if cb := opt.Progress.Incumbent; cb != nil {
 		mopt.OnImprove = func(obj, bound float64) { cb(f.TrueCost(obj), f.TrueCost(bound)) }
@@ -226,12 +185,12 @@ func solveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, er
 	// whenever the budget is loose enough to hold every activation).
 	seed := opt.Seed
 	if seed == nil {
-		ca := CheckpointAll(inst.G)
-		if ca.Peak(inst.G, inst.Overhead) <= float64(inst.Budget) {
+		ca := CheckpointAll(g)
+		if ca.Peak(g, overhead) <= float64(f.Inst.Budget) {
 			seed = ca
 		}
 	}
-	if seed != nil && opt.CostCap > 0 && seed.Cost(inst.G) > opt.CostCap {
+	if seed != nil && opt.CostCap > 0 && seed.Cost(g) > opt.CostCap {
 		seed = nil
 	}
 	if seed != nil {
@@ -247,12 +206,12 @@ func solveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, er
 		// A contained worker panic: the process survived, but the search is
 		// unfinished and untrustworthy — surface it ahead of any deadline.
 		mspan.SetAttr("panic", sol.Err.Error())
-		return nil, fmt.Errorf("core: solver worker failed: %w", sol.Err)
+		return nil, false, fmt.Errorf("core: solver worker failed: %w", sol.Err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: solve cancelled: %w", err)
+		return nil, false, fmt.Errorf("core: solve cancelled: %w", err)
 	}
-	res := &Result{
+	res = &Result{
 		Status:    sol.Status,
 		Nodes:     sol.Nodes,
 		SolveTime: time.Since(start),
@@ -264,10 +223,81 @@ func solveILP(ctx context.Context, inst Instance, opt SolveOptions) (*Result, er
 	res.Vars, res.Rows = f.Stats()
 	if sol.Status == milp.StatusOptimal || sol.Status == milp.StatusFeasible {
 		res.Sched = f.ExtractSched(sol.X)
-		res.Cost = res.Sched.Cost(inst.G)
-		if err := res.Sched.Validate(inst.G, !opt.Unpartitioned); err != nil {
-			return nil, fmt.Errorf("core: solver returned invalid schedule: %w", err)
+		res.Cost = res.Sched.Cost(g)
+		if err := res.Sched.Validate(g, !opt.Unpartitioned); err != nil {
+			return nil, false, fmt.Errorf("core: solver returned invalid schedule: %w", err)
 		}
+	}
+	return res, over.Load(), nil
+}
+
+// refitILP finishes a solve whose search met a schedule over its budget.
+// Rounding moves a budget row by less than the formulation's RoundingBand,
+// so the refit searches again with the rows that far below the budget,
+// where every point the search takes as integral fits. It continues the
+// first search for the caller's hooks: no second Started, none of its
+// bounds, which hold only for the lowered rows, and only incumbents that
+// improve on every schedule reported so far. The first search's bound
+// covers every schedule within the budget, so it stays the bound, and the
+// answer counts as optimal only when it meets it.
+func refitILP(ctx context.Context, f *Formulation, opt SolveOptions, first *Result, start time.Time) (*Result, error) {
+	budget, band := f.Inst.Budget, f.RoundingBand()
+	res := &Result{Vars: first.Vars, Rows: first.Rows}
+	rest := opt.TimeLimit - time.Since(start)
+	if opt.TimeLimit <= 0 || rest > 0 {
+		ropt := opt
+		ropt.TimeLimit = max(rest, 0)
+		ropt.RootBasis = first.RootBasis
+		if first.Sched != nil {
+			ropt.Seed = first.Sched // dropped if it does not fit the lowered rows
+		}
+		ropt.Progress.Bound = nil
+		if cb := opt.Progress.Incumbent; cb != nil {
+			var mu sync.Mutex
+			best := math.Inf(1)
+			if first.Sched != nil {
+				best = first.Cost
+			}
+			ropt.Progress.Incumbent = func(cost, _ float64) {
+				mu.Lock()
+				defer mu.Unlock()
+				if cost < best {
+					best = cost
+					cb(cost, first.Bound)
+				}
+			}
+		}
+		f.SetBudget(budget - band)
+		r, overran, err := searchILP(ctx, f, budget, ropt)
+		if err != nil {
+			return nil, err
+		}
+		if overran {
+			return nil, fmt.Errorf("core: schedule over budget %d with the budget rows %d bytes under it", budget, band)
+		}
+		res = r
+	}
+	if first.Sched != nil && (res.Sched == nil || first.Cost <= res.Cost) {
+		res.Sched, res.Cost = first.Sched, first.Cost
+	}
+	res.Bound, res.RootLPObj, res.RootBasis = first.Bound, first.RootLPObj, first.RootBasis
+	res.Nodes += first.Nodes
+	res.Solver.Add(&first.Solver)
+	res.SolveTime = time.Since(start)
+	res.Solver.NodesPerSec = float64(res.Nodes) / res.SolveTime.Seconds()
+	relGap := opt.RelGap
+	if relGap == 0 {
+		relGap = milp.DefaultRelGap
+	}
+	switch {
+	case res.Sched == nil:
+		// The rows under the budget may have cut off every schedule that
+		// fits, so infeasibility is not proven.
+		res.Status = milp.StatusLimit
+	case res.Cost-res.Bound <= relGap*math.Abs(res.Cost):
+		res.Status = milp.StatusOptimal
+	default:
+		res.Status = milp.StatusFeasible
 	}
 	return res, nil
 }

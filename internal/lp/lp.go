@@ -319,11 +319,14 @@ func (p *Problem) DualBound(y []float64) float64 {
 	return g
 }
 
+// DefaultTol is the default of Options.Tol.
+const DefaultTol = 1e-7
+
 // Options tunes the simplex solver. The zero value selects defaults.
 type Options struct {
 	// MaxIters caps total simplex iterations (default 50000 + 20·(m+n)).
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance (default 1e-7).
+	// Tol is the feasibility/optimality tolerance (default DefaultTol).
 	Tol float64
 	// RefactorEvery triggers a fresh basis factorization after this many eta
 	// updates (default 32).
@@ -358,7 +361,7 @@ func (o Options) withDefaults(m, n int) Options {
 		o.MaxIters = 50000 + 20*(m+n)
 	}
 	if o.Tol == 0 {
-		o.Tol = 1e-7
+		o.Tol = DefaultTol
 	}
 	if o.RefactorEvery == 0 {
 		o.RefactorEvery = 32

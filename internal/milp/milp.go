@@ -121,9 +121,10 @@ type Counters struct {
 	NodesPerSec float64
 }
 
-// add accumulates a worker-local counter bag (bound reporting fields like
-// NodesPerSec are stamped by finish, not summed).
-func (c *Counters) add(o *Counters) {
+// Add accumulates another counter bag: a worker's, or another solve's.
+// NodesPerSec is a rate, stamped by whoever knows the elapsed time, and is
+// not summed.
+func (c *Counters) Add(o *Counters) {
 	c.SimplexIters += o.SimplexIters
 	c.DualIters += o.DualIters
 	c.DualStartIters += o.DualStartIters
@@ -136,6 +137,8 @@ func (c *Counters) add(o *Counters) {
 	c.Phase1Skipped += o.Phase1Skipped
 	c.StrongBranchProbes += o.StrongBranchProbes
 	c.PseudoReliable += o.PseudoReliable
+	c.EpsSolves += o.EpsSolves
+	c.EpsWarmHits += o.EpsWarmHits
 }
 
 // Solution is the result of a MILP solve.
@@ -178,6 +181,12 @@ type Solution struct {
 // from several workers and must be safe for concurrent use.
 type Heuristic func(x []float64) (xInt []float64, obj float64, ok bool)
 
+// Defaults of Options.RelGap and Options.IntTol.
+const (
+	DefaultRelGap = 1e-6
+	DefaultIntTol = 1e-6
+)
+
 // Options tunes the branch-and-bound search. The zero value means defaults.
 type Options struct {
 	// TimeLimit bounds wall-clock time (0 = no limit).
@@ -185,12 +194,20 @@ type Options struct {
 	// MaxNodes bounds the node count (0 = 1e6).
 	MaxNodes int
 	// RelGap is the relative optimality gap at which search stops
-	// (default 1e-6).
+	// (default DefaultRelGap).
 	RelGap float64
-	// IntTol is the integrality tolerance (default 1e-6).
+	// IntTol is the integrality tolerance (default DefaultIntTol).
 	IntTol float64
 	// Heuristic, if set, runs on every LP-relaxation solution.
 	Heuristic Heuristic
+	// Accept, if set, vets each point the search would take as integral:
+	// an LP solution within IntTol of integral, after rounding. Rounding
+	// moves a row's activity by up to IntTol times its coefficients, so a
+	// model whose rows must hold exactly can refuse the points it broke. A
+	// refused point does not become the incumbent, and its subtree is
+	// abandoned with its bound kept, so optimality is not claimed past that
+	// bound. With Threads > 1 calls may arrive concurrently.
+	Accept func(x []float64) bool
 	// Incumbent seeds the search with a known integer-feasible point.
 	Incumbent []float64
 	// LPOpts are passed through to the simplex solver.
@@ -264,10 +281,10 @@ func (o Options) withDefaults() Options {
 		o.MaxNodes = 1_000_000
 	}
 	if o.RelGap == 0 {
-		o.RelGap = 1e-6
+		o.RelGap = DefaultRelGap
 	}
 	if o.IntTol == 0 {
-		o.IntTol = 1e-6
+		o.IntTol = DefaultIntTol
 	}
 	if o.Threads <= 0 {
 		o.Threads = 1
@@ -342,8 +359,9 @@ type search struct {
 	incObj    float64
 	nodes     int
 	// lost is the min bound over subtrees abandoned after repeated LP
-	// iteration limits; dangling over nodes popped but never expanded
-	// (gap-stop, cancellation). Both fold into the final Solution.Bound.
+	// iteration limits or a refused integral point (Options.Accept);
+	// dangling over nodes popped but never expanded (gap-stop,
+	// cancellation). Both fold into the final Solution.Bound.
 	lost      float64
 	dangling  float64
 	stopLimit bool // node/time/context limit reached
@@ -551,7 +569,7 @@ func (s *search) worker(id int) {
 	defer func() {
 		ws.endBatch()
 		s.mu.Lock()
-		s.ctr.add(&ws.ctr)
+		s.ctr.Add(&ws.ctr)
 		s.mu.Unlock()
 	}()
 
@@ -828,8 +846,14 @@ func (s *search) expand(ws *workerState, nd *node) {
 	}
 	ws.cands = cands
 	if len(cands) == 0 {
-		// Integral: candidate incumbent.
+		// Integral: candidate incumbent, unless the caller refuses it.
 		x := roundIntegers(s.prob, sol.X, s.opt.IntTol)
+		if s.opt.Accept != nil && !s.opt.Accept(x) {
+			s.mu.Lock()
+			s.lost = math.Min(s.lost, sol.Obj)
+			s.mu.Unlock()
+			return
+		}
 		s.offerIncumbent(x, s.prob.LP.Objective(x))
 		return
 	}

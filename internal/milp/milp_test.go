@@ -444,3 +444,25 @@ func TestGapTerminationReportsFeasible(t *testing.T) {
 		t.Fatalf("claimed optimal at gap %v > 0.25", sol.Gap)
 	}
 }
+
+// TestAcceptRefusesRoundedPoint: the LP optimum of this knapsack fills the
+// capacity with the heavy item at 1 − 5e-7, inside IntTol. Rounded, that
+// point overruns the capacity by one unit, and beats the seeded optimum.
+// Accept refuses it: the seed stays the incumbent, and the refused
+// subtree's bound stays in the bound, so the seed is not claimed optimal.
+func TestAcceptRefusesRoundedPoint(t *testing.T) {
+	values, weights, capacity := []float64{2, 1}, []float64{2e6, 1}, 2e6
+	fits := func(x []float64) bool { return x[0]*weights[0]+x[1]*weights[1] <= capacity }
+	seed := []float64{1, 0} // the true optimum
+	// Without the hook the rounded point is taken: the case under test.
+	if sol := Solve(mkKnapsack(values, weights, capacity), Options{Incumbent: seed}); sol.Status != StatusOptimal || fits(sol.X) {
+		t.Fatalf("without Accept: status %v x %v, want the rounded point that overruns, stamped optimal", sol.Status, sol.X)
+	}
+	sol := Solve(mkKnapsack(values, weights, capacity), Options{Incumbent: seed, Accept: fits})
+	if sol.Status != StatusFeasible || !fits(sol.X) || -sol.Obj != bruteKnapsack(values, weights, capacity) {
+		t.Fatalf("with Accept: status %v x %v obj %v, want the seed, unproven", sol.Status, sol.X, -sol.Obj)
+	}
+	if -sol.Bound <= -sol.Obj {
+		t.Fatalf("with Accept: bound %v, want the refused subtree's, above the seed's %v", -sol.Bound, -sol.Obj)
+	}
+}

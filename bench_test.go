@@ -282,6 +282,29 @@ func BenchmarkPlanSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkPresolve times a Solve that the presolve serves: at the
+// checkpoint-all peak no solver runs, so all of it is IdealSched plus
+// lowering, code motion and simulation (the zoo's models at batch 4 with 12
+// segments).
+func BenchmarkPresolve(b *testing.B) {
+	for _, model := range []string{"vgg16", "resnet50"} {
+		b.Run(model, func(b *testing.B) {
+			wl, err := checkmate.Load(model, checkmate.Options{Batch: 4, CoarseSegments: 12})
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := checkmate.Request{Workload: wl, Budget: wl.CheckpointAllPeak()}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := checkmate.Solve(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTensorVMStep(b *testing.B) {
 	mlp := exec.NewMLP([]int{32, 64, 64, 10}, 16, 3)
 	m := mlp.Machine()

@@ -91,15 +91,15 @@ type Workload struct {
 	// Overhead is M_input + 2·M_param (eq. (2)).
 	Overhead int64
 
-	// ideal memoizes IdealPeak for the Graph and Overhead it was computed
-	// from.
-	ideal atomic.Pointer[idealPeak]
+	// peaks memoizes IdealPeak and CheckpointAllPeak for the Graph and
+	// Overhead they were computed from.
+	peaks atomic.Pointer[peaks]
 }
 
-type idealPeak struct {
-	g        *graph.Graph
-	overhead int64
-	peak     int64
+type peaks struct {
+	g                    *graph.Graph
+	overhead             int64
+	ideal, checkpointAll int64
 }
 
 // Models lists the available architecture names.
@@ -409,22 +409,30 @@ func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions
 // CheckpointAllPeak returns the peak memory of the checkpoint-all policy,
 // which retains every value to the end of the schedule. It is the top of the
 // budget range that sweeps and benchmarks span. Rematerialization already
-// becomes unnecessary at IdealPeak, which is never higher.
-func (w *Workload) CheckpointAllPeak() int64 {
-	return int64(core.CheckpointAll(w.Graph).Peak(w.Graph, w.Overhead))
-}
+// becomes unnecessary at IdealPeak, which is never higher. The value is
+// computed once per Graph and Overhead.
+func (w *Workload) CheckpointAllPeak() int64 { return w.peaksMemo().checkpointAll }
 
 // IdealPeak returns the peak memory of core.IdealSched, the leanest schedule
 // that computes every node once. At any budget at or above it that schedule
 // is optimal, and Solve serves it without running a solver (see Request).
 // The value is computed once per Graph and Overhead.
-func (w *Workload) IdealPeak() int64 {
-	if m := w.ideal.Load(); m != nil && m.g == w.Graph && m.overhead == w.Overhead {
-		return m.peak
+func (w *Workload) IdealPeak() int64 { return w.peaksMemo().ideal }
+
+// peaksMemo returns both peaks, computing them if the Graph or Overhead
+// changed since they were last computed.
+func (w *Workload) peaksMemo() *peaks {
+	if m := w.peaks.Load(); m != nil && m.g == w.Graph && m.overhead == w.Overhead {
+		return m
 	}
-	m := &idealPeak{w.Graph, w.Overhead, int64(core.IdealSched(w.Graph).Peak(w.Graph, w.Overhead))}
-	w.ideal.Store(m)
-	return m.peak
+	g, overhead := w.Graph, w.Overhead
+	m := &peaks{
+		g: g, overhead: overhead,
+		ideal:         int64(core.IdealSched(g).Peak(g, overhead)),
+		checkpointAll: int64(core.CheckpointAll(g).Peak(g, overhead)),
+	}
+	w.peaks.Store(m)
+	return m
 }
 
 // MinBudget returns a lower bound on any feasible budget.

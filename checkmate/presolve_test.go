@@ -374,21 +374,25 @@ func checkSolveEvents(t *testing.T, name string, ev []Event, sched *Schedule) {
 	}
 }
 
-// TestIdealPeakFollowsWorkload: IdealPeak is computed once per workload, and
-// again when its Graph or Overhead changes.
+// TestIdealPeakFollowsWorkload: IdealPeak and CheckpointAllPeak are
+// computed once per workload, and again when its Graph or Overhead changes.
 func TestIdealPeakFollowsWorkload(t *testing.T) {
 	wl := trainingWorkload(t, 6)
-	peak := wl.IdealPeak()
-	if allocs := testing.AllocsPerRun(10, func() { wl.IdealPeak() }); allocs != 0 {
-		t.Fatalf("a known IdealPeak costs %v allocations per call, want none", allocs)
+	both := func(w *Workload) [2]int64 { return [2]int64{w.IdealPeak(), w.CheckpointAllPeak()} }
+	want := both(wl)
+	if want[0] > want[1] {
+		t.Fatalf("IdealPeak %d above CheckpointAllPeak %d", want[0], want[1])
+	}
+	if allocs := testing.AllocsPerRun(10, func() { both(wl) }); allocs != 0 {
+		t.Fatalf("known peaks cost %v allocations per call, want none", allocs)
 	}
 	wl.Overhead += 100
-	if got := wl.IdealPeak(); got != peak+100 {
-		t.Fatalf("with 100 more bytes of overhead: IdealPeak %d, want %d", got, peak+100)
+	if got := both(wl); got != [2]int64{want[0] + 100, want[1] + 100} {
+		t.Fatalf("with 100 more bytes of overhead: peaks %v, want %v + 100", got, want)
 	}
 	other := trainingWorkload(t, 9)
 	wl.Graph = other.Graph
-	if got, want := wl.IdealPeak(), other.IdealPeak()+100; got != want {
-		t.Fatalf("on another graph: IdealPeak %d, want %d", got, want)
+	if got, want := both(wl), both(other); got != [2]int64{want[0] + 100, want[1] + 100} {
+		t.Fatalf("on another graph: peaks %v, want %v + 100", got, want)
 	}
 }

@@ -49,9 +49,9 @@ func boolMat(r, c int) [][]bool {
 // (objective (1a)).
 func (s *Sched) Cost(g *graph.Graph) float64 {
 	var c float64
-	for t := 0; t < s.N; t++ {
-		for i := 0; i < s.N; i++ {
-			if s.R[t][i] {
+	for _, row := range s.R[:s.N] {
+		for i, computed := range row[:s.N] {
+			if computed {
 				c += g.Node(graph.NodeID(i)).Cost
 			}
 		}
@@ -87,11 +87,16 @@ func (s *Sched) Validate(g *graph.Graph, frontier bool) error {
 		if s.R[t][n-1] {
 			computedLast = true
 		}
-		// (1b): R[t][j] ≤ R[t][i] + S[t][i] for every edge (i,j).
-		for _, e := range g.Edges() {
-			i, j := int(e[0]), int(e[1])
-			if s.R[t][j] && !s.R[t][i] && !s.S[t][i] {
-				return fmt.Errorf("core: stage %d computes %d without dependency %d resident (1b)", t, j, i)
+		// (1b): R[t][j] ≤ R[t][i] + S[t][i] for every edge (i,j), visited
+		// in Graph.Edges order.
+		for j := 0; j < n; j++ {
+			if !s.R[t][j] {
+				continue
+			}
+			for _, dep := range g.Deps(graph.NodeID(j)) {
+				if i := int(dep); !s.R[t][i] && !s.S[t][i] {
+					return fmt.Errorf("core: stage %d computes %d without dependency %d resident (1b)", t, j, i)
+				}
 			}
 		}
 		// (1c): S[t][i] ≤ R[t-1][i] + S[t-1][i].
@@ -138,21 +143,40 @@ func (s *Sched) Validate(g *graph.Graph, frontier bool) error {
 // nodes whose value is dead immediately (no in-stage later user and not
 // checkpointed); they are reported via the returned selfFree matrix rather
 // than s.Free, which is edge-indexed.
+//
+// Definition (5) is zero unless R_{t,k}, so each Free row is cleared and
+// then set only at the nodes its stage computes.
 func (s *Sched) ComputeFree(g *graph.Graph) (selfFree [][]bool) {
 	n := s.N
-	edges := g.Edges()
+	first := edgeStarts(g)
+	m := first[g.Len()]
 	selfFree = boolMat(n, n)
 	for t := 0; t < n; t++ {
-		for ei, e := range edges {
-			i, k := int(e[0]), int(e[1])
-			s.Free[t][ei] = s.freeVal(g, t, i, k)
-		}
-		for k := 0; k < n; k++ {
+		free := s.Free[t][:m]
+		clear(free)
+		for k, computed := range s.R[t][:n] {
+			if !computed {
+				continue
+			}
+			for j, i := range g.Deps(graph.NodeID(k)) {
+				free[first[k]+j] = s.freeVal(g, t, int(i), k)
+			}
 			// Diagonal FREE_{t,k,k}: value k freed right after computing it.
 			selfFree[t][k] = s.freeVal(g, t, k, k)
 		}
 	}
 	return selfFree
+}
+
+// edgeStarts returns, for each node k, the index in Graph.Edges of its first
+// incoming edge, and the edge count last. Edges are dst-major, so the edges
+// into k are first[k], first[k]+1, … in Deps(k) order.
+func edgeStarts(g *graph.Graph) []int {
+	first := make([]int, g.Len()+1)
+	for k := range g.Len() {
+		first[k+1] = first[k] + len(g.Deps(graph.NodeID(k)))
+	}
+	return first
 }
 
 // freeVal evaluates definition (5) for value i at evaluation point k in
@@ -192,46 +216,54 @@ type MemProfile struct {
 
 // MemUsage evaluates the paper's memory recurrence for the schedule given
 // per-node sizes and the constant overhead (M_input + 2·M_param, eq. (2)).
-// ComputeFree must have been called (or Free otherwise populated); the
-// diagonal frees from Section 4.8's elimination are recomputed internally.
+// Free must be as ComputeFree left it: it is read only at the nodes a stage
+// computes, the only places definition (5) can set it. The diagonal frees
+// from Section 4.8's elimination are recomputed internally.
 func (s *Sched) MemUsage(g *graph.Graph, overhead int64) *MemProfile {
 	n := s.N
-	edges := g.Edges()
-	// Edge lookup by consumer.
-	edgesInto := make([][]int, n) // k -> edge indices (i,k)
-	for ei, e := range edges {
-		edgesInto[e[1]] = append(edgesInto[e[1]], ei)
+	first := edgeStarts(g)
+	size := make([]float64, n)
+	for k := range size {
+		size[k] = float64(g.Node(graph.NodeID(k)).Mem)
 	}
+	backing := make([]float64, n*n)
 	prof := &MemProfile{U: make([][]float64, n)}
+	peak := 0.0
 	for t := 0; t < n; t++ {
-		prof.U[t] = make([]float64, n)
+		free := s.Free[t]
+		u := backing[t*n : (t+1)*n : (t+1)*n]
+		prof.U[t] = u
 		base := float64(overhead)
-		for i := 0; i < n; i++ {
-			if s.S[t][i] {
-				base += float64(g.Node(graph.NodeID(i)).Mem)
+		for i, kept := range s.S[t][:n] {
+			if kept {
+				base += size[i]
 			}
 		}
 		cur := base
-		for k := 0; k < n; k++ {
-			if s.R[t][k] {
-				cur += float64(g.Node(graph.NodeID(k)).Mem)
+		for k, computed := range s.R[t][:n] {
+			if computed {
+				cur += size[k]
 			}
-			prof.U[t][k] = cur
-			if cur > prof.Peak {
-				prof.Peak = cur
+			u[k] = cur
+			if cur > peak {
+				peak = cur
+			}
+			if !computed {
+				continue
 			}
 			// After evaluating k, deallocate freed dependencies and possibly
 			// k itself (diagonal free, Section 4.8).
-			for _, ei := range edgesInto[k] {
-				if s.Free[t][ei] {
-					cur -= float64(g.Node(edges[ei][0]).Mem)
+			for j, i := range g.Deps(graph.NodeID(k)) {
+				if free[first[k]+j] {
+					cur -= size[i]
 				}
 			}
 			if s.freeVal(g, t, k, k) {
-				cur -= float64(g.Node(graph.NodeID(k)).Mem)
+				cur -= size[k]
 			}
 		}
 	}
+	prof.Peak = peak
 	return prof
 }
 

@@ -77,26 +77,30 @@ func (p *Plan) String() string {
 // Generate implements Algorithm 1: a row-major scan of (R, S, FREE) emitting
 // allocate/compute statements for every R[t][k] = 1 and deallocations
 // according to FREE (including the reconstructed diagonal frees of
-// Section 4.8).
+// Section 4.8). FREE is recomputed from R and S first, so a schedule whose
+// Free disagrees with them (one read from JSON, say) still lowers correctly.
 func Generate(g *graph.Graph, s *core.Sched) (*Plan, error) {
 	n := s.N
-	edges := g.Edges()
-	edgesInto := make([][]int, n)
-	for ei, e := range edges {
-		edgesInto[e[1]] = append(edgesInto[e[1]], ei)
-	}
 	selfFree := s.ComputeFree(g)
 
 	p := &Plan{}
+	computes := 0
+	for _, row := range s.R[:n] {
+		for _, r := range row[:n] {
+			if r {
+				computes++
+			}
+		}
+	}
+	if computes > 0 {
+		// Every compute takes a register, an allocate and a compute
+		// statement, and each register is deallocated at most once.
+		p.Stmts = make([]Stmt, 0, 3*computes)
+		p.RegNode = make([]graph.NodeID, 0, computes)
+	}
 	regs := make([]int, n) // node -> live register, -1 if none
 	for i := range regs {
 		regs[i] = -1
-	}
-	newReg := func(v graph.NodeID) int {
-		r := p.NumRegs
-		p.NumRegs++
-		p.RegNode = append(p.RegNode, v)
-		return r
 	}
 	for t := 0; t < n; t++ {
 		// Values resident from earlier stages but not checkpointed into this
@@ -107,25 +111,34 @@ func Generate(g *graph.Graph, s *core.Sched) (*Plan, error) {
 		// the Section 4.9 remark that spurious checkpoints "can be
 		// deallocated at the start of the stage".
 		if t > 0 {
-			for i := 0; i < n; i++ {
-				if regs[i] >= 0 && !s.S[t][i] {
-					p.Stmts = append(p.Stmts, Stmt{Kind: OpDeallocate, Reg: regs[i], Stage: t})
+			for i, kept := range s.S[t][:n] {
+				if r := regs[i]; r >= 0 && !kept {
+					p.Stmts = append(p.Stmts, Stmt{Kind: OpDeallocate, Reg: r, Stage: t})
 					regs[i] = -1
 				}
 			}
 		}
-		for k := 0; k < n; k++ {
-			if s.R[t][k] {
-				r := newReg(graph.NodeID(k))
-				p.Stmts = append(p.Stmts,
-					Stmt{Kind: OpAllocate, Node: graph.NodeID(k), Reg: r, Stage: t},
-					Stmt{Kind: OpCompute, Node: graph.NodeID(k), Reg: r, Stage: t})
-				regs[k] = r
+		// FREE is zero at the nodes a stage does not compute (definition
+		// (5)), so only computed nodes emit statements. ei indexes the first
+		// edge into k: Graph.Edges is dst-major, in Deps(k) order.
+		free, ei := s.Free[t], 0
+		for k, computed := range s.R[t][:n] {
+			deps := g.Deps(graph.NodeID(k))
+			if !computed {
+				ei += len(deps)
+				continue
 			}
+			r := p.NumRegs
+			p.NumRegs++
+			p.RegNode = append(p.RegNode, graph.NodeID(k))
+			p.Stmts = append(p.Stmts,
+				Stmt{Kind: OpAllocate, Node: graph.NodeID(k), Reg: r, Stage: t},
+				Stmt{Kind: OpCompute, Node: graph.NodeID(k), Reg: r, Stage: t})
+			regs[k] = r
 			// Free vk and dependencies per FREE.
-			for _, ei := range edgesInto[k] {
-				if s.Free[t][ei] {
-					i := int(edges[ei][0])
+			for j, dep := range deps {
+				if free[ei+j] {
+					i := int(dep)
 					if regs[i] < 0 {
 						return nil, fmt.Errorf("schedule: stage %d frees value %d with no live register", t, i)
 					}
@@ -133,6 +146,7 @@ func Generate(g *graph.Graph, s *core.Sched) (*Plan, error) {
 					regs[i] = -1
 				}
 			}
+			ei += len(deps)
 			if selfFree[t][k] {
 				if regs[k] >= 0 {
 					p.Stmts = append(p.Stmts, Stmt{Kind: OpDeallocate, Reg: regs[k], Stage: t})
@@ -156,50 +170,72 @@ func MoveDeallocationsEarlier(g *graph.Graph, p *Plan) *Plan {
 		lastUse[i] = -1
 	}
 	// A register is used by its producing compute and by computes of its
-	// consumers that occur while it is live.
-	live := make([]int, 0)
-	_ = live
-	regOf := make(map[graph.NodeID]int) // node -> live register at scan point
+	// consumers that occur while it is live. Only a node of g can be a
+	// consumer's dependency, so allocations of other nodes are not tracked.
+	regOf := make([]int, g.Len()) // node -> live register at scan point, -1 if none
+	for i := range regOf {
+		regOf[i] = -1
+	}
+	inGraph := func(v graph.NodeID) bool { return v >= 0 && int(v) < len(regOf) }
+	deallocs := 0
 	for si, st := range p.Stmts {
 		switch st.Kind {
 		case OpAllocate:
-			regOf[st.Node] = st.Reg
+			if inGraph(st.Node) {
+				regOf[st.Node] = st.Reg
+			}
 			lastUse[st.Reg] = si
 		case OpCompute:
 			lastUse[st.Reg] = si
 			for _, d := range g.Deps(st.Node) {
-				if r, ok := regOf[d]; ok {
+				if r := regOf[d]; r >= 0 {
 					lastUse[r] = si
 				}
 			}
 		case OpDeallocate:
-			node := p.RegNode[st.Reg]
-			if regOf[node] == st.Reg {
-				delete(regOf, node)
+			deallocs++
+			if node := p.RegNode[st.Reg]; inGraph(node) && regOf[node] == st.Reg {
+				regOf[node] = -1
 			}
+		}
+	}
+	// Bucket the deallocations by the statement they now follow, keeping
+	// plan order within a bucket (a counting sort). Once filled, the
+	// registers freed after statement si are moved[end[si-1]:end[si]].
+	// A register never used is never freed.
+	end := make([]int, len(p.Stmts)+1)
+	for _, st := range p.Stmts {
+		if st.Kind == OpDeallocate && lastUse[st.Reg] >= 0 {
+			end[lastUse[st.Reg]+1]++
+		}
+	}
+	for si := range p.Stmts {
+		end[si+1] += end[si]
+	}
+	moved := make([]int, end[len(p.Stmts)])
+	for _, st := range p.Stmts {
+		if st.Kind == OpDeallocate && lastUse[st.Reg] >= 0 {
+			at := lastUse[st.Reg]
+			moved[end[at]] = st.Reg
+			end[at]++
 		}
 	}
 	// Rebuild: emit deallocations immediately after their register's last
 	// use.
-	dealloc := make(map[int][]int) // statement index -> registers to free
-	kept := make([]Stmt, 0, len(p.Stmts))
-	for _, st := range p.Stmts {
-		if st.Kind == OpDeallocate {
-			at := lastUse[st.Reg]
-			dealloc[at] = append(dealloc[at], st.Reg)
-		}
-	}
 	out := &Plan{NumRegs: p.NumRegs, RegNode: p.RegNode}
+	if size := len(p.Stmts) - deallocs + len(moved); size > 0 {
+		out.Stmts = make([]Stmt, 0, size)
+	}
+	from := 0
 	for si, st := range p.Stmts {
 		if st.Kind != OpDeallocate {
-			kept = append(kept, st)
 			out.Stmts = append(out.Stmts, st)
 		}
-		for _, r := range dealloc[si] {
+		for _, r := range moved[from:end[si]] {
 			out.Stmts = append(out.Stmts, Stmt{Kind: OpDeallocate, Reg: r, Stage: st.Stage})
 		}
+		from = end[si]
 	}
-	_ = kept
 	return out
 }
 
@@ -219,14 +255,31 @@ type SimResult struct {
 // Simulate executes the plan against the graph, enforcing correctness:
 // computes require all dependencies resident, registers are written once,
 // deallocations target live registers. overhead is added to all memory
-// readings.
+// readings. A plan that names a register or node outside its own register
+// count or the graph is an error, so a decoded plan can be simulated
+// unchecked.
 func Simulate(g *graph.Graph, p *Plan, overhead int64) (*SimResult, error) {
+	if p.NumRegs < 0 {
+		return nil, fmt.Errorf("schedule: plan has %d registers", p.NumRegs)
+	}
 	res := &SimResult{}
+	if len(p.Stmts) > 0 {
+		res.Trace = make([]int64, 0, len(p.Stmts))
+	}
 	var mem int64 = overhead
 	res.PeakBytes = mem
 	regLive := make([]bool, p.NumRegs)
 	regWritten := make([]bool, p.NumRegs)
-	valueReg := make(map[graph.NodeID]int)
+	valueReg := make([]int, g.Len()) // value -> register holding it, -1 if none
+	for i := range valueReg {
+		valueReg[i] = -1
+	}
+	badNode := func(si int, v graph.NodeID) error {
+		if v >= 0 && int(v) < len(valueReg) {
+			return nil
+		}
+		return fmt.Errorf("schedule: stmt %d: v%d is not a node of the %d-node graph", si, v, len(valueReg))
+	}
 	record := func() {
 		res.Trace = append(res.Trace, mem)
 		if mem > res.PeakBytes {
@@ -235,9 +288,18 @@ func Simulate(g *graph.Graph, p *Plan, overhead int64) (*SimResult, error) {
 	}
 	for si, st := range p.Stmts {
 		switch st.Kind {
+		case OpAllocate, OpCompute, OpDeallocate:
+			if st.Reg < 0 || st.Reg >= p.NumRegs {
+				return nil, fmt.Errorf("schedule: stmt %d: register %%r%d of %d", si, st.Reg, p.NumRegs)
+			}
+		}
+		switch st.Kind {
 		case OpAllocate:
 			if regLive[st.Reg] {
 				return nil, fmt.Errorf("schedule: stmt %d: register %%r%d allocated twice", si, st.Reg)
+			}
+			if err := badNode(si, st.Node); err != nil {
+				return nil, err
 			}
 			regLive[st.Reg] = true
 			mem += g.Node(st.Node).Mem
@@ -248,9 +310,12 @@ func Simulate(g *graph.Graph, p *Plan, overhead int64) (*SimResult, error) {
 			if regWritten[st.Reg] {
 				return nil, fmt.Errorf("schedule: stmt %d: register %%r%d written twice", si, st.Reg)
 			}
+			if err := badNode(si, st.Node); err != nil {
+				return nil, err
+			}
 			for _, d := range g.Deps(st.Node) {
-				r, ok := valueReg[d]
-				if !ok || !regLive[r] || !regWritten[r] {
+				r := valueReg[d]
+				if r < 0 || !regLive[r] || !regWritten[r] {
 					return nil, fmt.Errorf("schedule: stmt %d: compute v%d missing dependency v%d", si, st.Node, d)
 				}
 			}
@@ -262,11 +327,17 @@ func Simulate(g *graph.Graph, p *Plan, overhead int64) (*SimResult, error) {
 			if !regLive[st.Reg] {
 				return nil, fmt.Errorf("schedule: stmt %d: double free of %%r%d", si, st.Reg)
 			}
-			regLive[st.Reg] = false
+			if st.Reg >= len(p.RegNode) {
+				return nil, fmt.Errorf("schedule: stmt %d: register %%r%d has no producing node", si, st.Reg)
+			}
 			node := p.RegNode[st.Reg]
+			if err := badNode(si, node); err != nil {
+				return nil, err
+			}
+			regLive[st.Reg] = false
 			mem -= g.Node(node).Mem
-			if r, ok := valueReg[node]; ok && r == st.Reg {
-				delete(valueReg, node)
+			if valueReg[node] == st.Reg {
+				valueReg[node] = -1
 			}
 		}
 		record()

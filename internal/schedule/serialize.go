@@ -55,7 +55,10 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadPlanJSON deserializes a plan written by WriteJSON.
+// ReadPlanJSON deserializes a plan written by WriteJSON. It checks what it
+// can without the graph: registers must be in range, node IDs non-negative,
+// and every register must name its producing node. Simulate checks the
+// nodes against the graph.
 func ReadPlanJSON(r io.Reader) (*Plan, error) {
 	var in planJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -64,8 +67,16 @@ func ReadPlanJSON(r io.Reader) (*Plan, error) {
 	if in.Version != planVersion {
 		return nil, fmt.Errorf("schedule: unsupported plan version %d", in.Version)
 	}
+	// Every register names its producing node, which bounds the register
+	// count by the input's size.
+	if in.NumRegs < 0 || len(in.RegNode) != in.NumRegs {
+		return nil, fmt.Errorf("schedule: plan has %d registers but names the producers of %d", in.NumRegs, len(in.RegNode))
+	}
 	p := &Plan{NumRegs: in.NumRegs}
-	for _, n := range in.RegNode {
+	for r, n := range in.RegNode {
+		if n < 0 {
+			return nil, fmt.Errorf("schedule: register %d is produced by node %d", r, n)
+		}
 		p.RegNode = append(p.RegNode, graph.NodeID(n))
 	}
 	for _, st := range in.Stmts {
@@ -82,6 +93,9 @@ func ReadPlanJSON(r io.Reader) (*Plan, error) {
 		}
 		if st.R < 0 || st.R >= p.NumRegs {
 			return nil, fmt.Errorf("schedule: statement references register %d of %d", st.R, p.NumRegs)
+		}
+		if st.N < 0 {
+			return nil, fmt.Errorf("schedule: statement references node %d", st.N)
 		}
 		p.Stmts = append(p.Stmts, Stmt{Kind: k, Node: graph.NodeID(st.N), Reg: st.R, Stage: st.T})
 	}

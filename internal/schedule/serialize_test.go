@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 func TestPlanJSONRoundTrip(t *testing.T) {
@@ -51,12 +52,64 @@ func TestPlanJSONRejectsBadInput(t *testing.T) {
 		`{"version":99}`,
 		`{"version":1,"num_regs":1,"reg_node":[0],"stmts":[{"k":"x","n":0,"r":0}]}`,
 		`{"version":1,"num_regs":1,"reg_node":[0],"stmts":[{"k":"c","n":0,"r":5}]}`,
+		`{"version":1,"num_regs":1,"reg_node":[0],"stmts":[{"k":"a","n":-1,"r":0}]}`,
+		`{"version":1,"num_regs":1,"reg_node":[-2],"stmts":[{"k":"a","n":0,"r":0}]}`,
+		`{"version":1,"num_regs":1,"reg_node":[],"stmts":[{"k":"a","r":0},{"k":"d","r":0}]}`,
+		`{"version":1,"num_regs":-1,"reg_node":[],"stmts":[]}`,
 	}
 	for i, c := range cases {
 		if _, err := ReadPlanJSON(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
+}
+
+// TestSimulateRejectsOutOfRange: a plan that names a register or node
+// outside its register count or the graph is an error, not a panic.
+func TestSimulateRejectsOutOfRange(t *testing.T) {
+	g := chainGraph(2)
+	alloc := func(n graph.NodeID) Stmt { return Stmt{Kind: OpAllocate, Node: n} }
+	cases := []*Plan{
+		{NumRegs: -1},
+		{NumRegs: 1, RegNode: []graph.NodeID{0}, Stmts: []Stmt{alloc(5)}},
+		{NumRegs: 1, RegNode: []graph.NodeID{0}, Stmts: []Stmt{alloc(-1)}},
+		{NumRegs: 1, RegNode: []graph.NodeID{0}, Stmts: []Stmt{{Kind: OpCompute, Reg: 3}}},
+		{NumRegs: 1, RegNode: []graph.NodeID{0}, Stmts: []Stmt{alloc(0), {Kind: OpCompute, Node: 7}}},
+		{NumRegs: 1, Stmts: []Stmt{alloc(0), {Kind: OpDeallocate}}},
+		{NumRegs: 1, RegNode: []graph.NodeID{9}, Stmts: []Stmt{alloc(0), {Kind: OpDeallocate}}},
+	}
+	for i, p := range cases {
+		if _, err := Simulate(g, p, 0); err == nil {
+			t.Fatalf("case %d simulated", i)
+		}
+	}
+}
+
+// FuzzReadPlanJSON: decoding a plan and simulating it against a graph never
+// panics, whatever the input.
+func FuzzReadPlanJSON(f *testing.F) {
+	g := chainGraph(2)
+	var valid bytes.Buffer
+	if p, err := Generate(g, core.CheckpointAll(g)); err != nil {
+		f.Fatal(err)
+	} else if err := p.WriteJSON(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add([]byte(`{"version":1,"num_regs":1,"reg_node":[0],"stmts":[{"k":"a","n":5,"r":0,"t":0}]}`))
+	f.Add([]byte(`{"version":1,"num_regs":1,"reg_node":[0],"stmts":[{"k":"a","n":-1,"r":0,"t":0}]}`))
+	f.Add([]byte(`{"version":1,"num_regs":1,"reg_node":[],"stmts":[{"k":"a","n":0,"r":0,"t":0},{"k":"d","r":0,"t":0}]}`))
+	f.Add([]byte(`{"version":1,"num_regs":-1,"reg_node":[],"stmts":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPlanJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, err := Simulate(g, p, 0); err != nil {
+			return
+		}
+		MoveDeallocationsEarlier(g, p)
+	})
 }
 
 func TestSchedJSONRoundTrip(t *testing.T) {

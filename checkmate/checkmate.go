@@ -26,7 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,8 +93,8 @@ type Workload struct {
 	// Overhead is M_input + 2·M_param (eq. (2)).
 	Overhead int64
 
-	// peaks memoizes IdealPeak and CheckpointAllPeak for the Graph and
-	// Overhead they were computed from.
+	// peaks memoizes IdealPeak, CheckpointAllPeak and the lowered ideal
+	// schedule for the Graph and Overhead they were computed from.
 	peaks atomic.Pointer[peaks]
 }
 
@@ -100,6 +102,13 @@ type peaks struct {
 	g                    *graph.Graph
 	overhead             int64
 	ideal, checkpointAll int64
+
+	// lowered is core.IdealSched lowered to its plan and simulated, built
+	// by the first presolved request (idealSchedule). Admission and the
+	// estimates read only the peaks, so they never pay for it.
+	lowerOnce sync.Once
+	lowered   *Schedule
+	lowerErr  error
 }
 
 // Models lists the available architecture names.
@@ -130,6 +139,9 @@ func FromNet(net *nets.Net) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkBytes(ad.Graph, net.Overhead()); err != nil {
+		return nil, err
+	}
 	return &Workload{Net: net, AD: ad, Graph: ad.Graph, Overhead: net.Overhead()}, nil
 }
 
@@ -139,7 +151,34 @@ func FromGraph(g *graph.Graph, overhead int64) (*Workload, error) {
 	if err := g.Validate(true); err != nil {
 		return nil, err
 	}
+	if err := checkBytes(g, overhead); err != nil {
+		return nil, err
+	}
 	return &Workload{Graph: g, Overhead: overhead}, nil
+}
+
+// maxBytes bounds a workload's Overhead + Σ Mem. Up to 2^53 every memory
+// sum is exact both in the int64 accounting of plans and in the float64
+// accounting of the formulations, so a plan's peak is the peak the solvers
+// and IdealPeak saw.
+const maxBytes = 1 << 53
+
+// checkBytes refuses a negative overhead and an Overhead + Σ Mem above
+// maxBytes. Node sizes are non-negative (graph.Validate), so the running sum
+// cannot overflow before it passes the bound.
+func checkBytes(g *graph.Graph, overhead int64) error {
+	if overhead < 0 {
+		return fmt.Errorf("checkmate: memory overhead %d is negative", overhead)
+	}
+	total := overhead
+	for i := range g.Len() {
+		mem := g.Node(graph.NodeID(i)).Mem
+		if mem > maxBytes-total {
+			return fmt.Errorf("checkmate: overhead and node sizes sum past 2^53 bytes, beyond what the memory accounting holds exactly")
+		}
+		total += mem
+	}
+	return nil
 }
 
 // Fingerprint returns the canonical content hash of the scheduling problem
@@ -419,11 +458,13 @@ func (w *Workload) CheckpointAllPeak() int64 { return w.peaksMemo().checkpointAl
 // The value is computed once per Graph and Overhead.
 func (w *Workload) IdealPeak() int64 { return w.peaksMemo().ideal }
 
-// peaksMemo returns both peaks, computing them if the Graph or Overhead
-// changed since they were last computed.
+// peaksMemo returns the memo entry, computing both peaks in a new one if the
+// Graph or Overhead changed since the entry was made. Concurrent first calls
+// settle on one entry, so the ideal plan is lowered once.
 func (w *Workload) peaksMemo() *peaks {
-	if m := w.peaks.Load(); m != nil && m.g == w.Graph && m.overhead == w.Overhead {
-		return m
+	old := w.peaks.Load()
+	if old != nil && old.g == w.Graph && old.overhead == w.Overhead {
+		return old
 	}
 	g, overhead := w.Graph, w.Overhead
 	m := &peaks{
@@ -431,8 +472,28 @@ func (w *Workload) peaksMemo() *peaks {
 		ideal:         int64(core.IdealSched(g).Peak(g, overhead)),
 		checkpointAll: int64(core.CheckpointAll(g).Peak(g, overhead)),
 	}
-	w.peaks.Store(m)
+	if !w.peaks.CompareAndSwap(old, m) {
+		return w.peaksMemo()
+	}
 	return m
+}
+
+// idealSchedule serves core.IdealSched at budget. The memo entry lowers it
+// once per Graph and Overhead, so only the trace of the request that lowers
+// it holds a plan span. Every call runs the budget check finish runs and
+// returns a copy that the caller owns.
+func (w *Workload) idealSchedule(ctx context.Context, budget int64) (*Schedule, error) {
+	m := w.peaksMemo()
+	m.lowerOnce.Do(func() {
+		m.lowered, m.lowerErr = lower(ctx, m.g, m.overhead, core.IdealSched(m.g))
+	})
+	if m.lowerErr != nil {
+		return nil, m.lowerErr
+	}
+	if err := checkBudget(m.lowered.PeakBytes, budget); err != nil {
+		return nil, err
+	}
+	return m.lowered.clone(), nil
 }
 
 // MinBudget returns a lower bound on any feasible budget.
@@ -543,31 +604,18 @@ type Schedule struct {
 func (s *Schedule) Overhead() float64 { return s.Cost / s.IdealCost }
 
 // finish turns a solved schedule into its execution plan and simulates the
-// plan. Every method's schedule passes through here, so this is where a plan
-// that would overrun budget is refused rather than served.
+// plan. Every method's schedule passes through here or through
+// idealSchedule, which shares its lowering and its budget check, so this is
+// where a plan that would overrun budget is refused rather than served.
 func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, budget int64, res *core.Result) (*Schedule, error) {
-	_, span := telemetry.StartSpan(ctx, "plan")
-	defer span.End()
-	plan, err := schedule.Generate(w.Graph, s)
+	out, err := lower(ctx, w.Graph, w.Overhead, s)
 	if err != nil {
 		return nil, err
 	}
-	plan = schedule.MoveDeallocationsEarlier(w.Graph, plan)
-	sim, err := schedule.Simulate(w.Graph, plan, w.Overhead)
-	if err != nil {
+	if err := checkBudget(out.PeakBytes, budget); err != nil {
 		return nil, err
 	}
-	if sim.PeakBytes > budget {
-		return nil, fmt.Errorf("checkmate: plan peaks at %d bytes, over its budget of %d", sim.PeakBytes, budget)
-	}
-	out := &Schedule{
-		Sched:     s,
-		Plan:      plan,
-		Cost:      s.Cost(w.Graph),
-		IdealCost: w.Graph.TotalCost(),
-		PeakBytes: sim.PeakBytes,
-		Optimal:   optimal,
-	}
+	out.Optimal = optimal
 	if res != nil {
 		out.SolveTime = res.SolveTime
 		out.Nodes = res.Nodes
@@ -576,6 +624,49 @@ func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, budg
 		out.Solver = res.Solver
 	}
 	return out, nil
+}
+
+// lower generates a schedule's plan (Algorithm 1), hoists its deallocations
+// (Section 4.9) and simulates it for its peak. The Schedule it returns is
+// checked against no budget and claims no proof.
+func lower(ctx context.Context, g *graph.Graph, overhead int64, s *core.Sched) (*Schedule, error) {
+	_, span := telemetry.StartSpan(ctx, "plan")
+	defer span.End()
+	plan, err := schedule.Generate(g, s)
+	if err != nil {
+		return nil, err
+	}
+	plan = schedule.MoveDeallocationsEarlier(g, plan)
+	sim, err := schedule.Simulate(g, plan, overhead)
+	if err != nil {
+		return nil, err
+	}
+	return &Schedule{Sched: s, Plan: plan, Cost: s.Cost(g), IdealCost: g.TotalCost(), PeakBytes: sim.PeakBytes}, nil
+}
+
+// checkBudget refuses a plan that peaks over its budget.
+func checkBudget(peak, budget int64) error {
+	if peak > budget {
+		return fmt.Errorf("checkmate: plan peaks at %d bytes, over its budget of %d", peak, budget)
+	}
+	return nil
+}
+
+// clone copies s with its own schedule matrices and plan statements.
+func (s *Schedule) clone() *Schedule {
+	out := *s
+	src, edges := s.Sched, 0
+	if src.N > 0 {
+		edges = len(src.Free[0])
+	}
+	out.Sched = core.NewSched(src.N, edges)
+	for t := range src.N {
+		copy(out.Sched.R[t], src.R[t])
+		copy(out.Sched.S[t], src.S[t])
+		copy(out.Sched.Free[t], src.Free[t])
+	}
+	out.Plan = &schedule.Plan{Stmts: slices.Clone(s.Plan.Stmts), NumRegs: s.Plan.NumRegs, RegNode: slices.Clone(s.Plan.RegNode)}
+	return &out
 }
 
 // SweepPoint is one budget's outcome within a sweep request

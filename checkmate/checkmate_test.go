@@ -99,6 +99,42 @@ func TestFromGraphValidation(t *testing.T) {
 	}
 }
 
+// TestWorkloadBytesBounded: a workload whose memory sums could wrap int64,
+// or round in float64, is refused when it is built, as is a negative
+// overhead. Up to 2^53 bytes in all, it is accepted.
+func TestWorkloadBytesBounded(t *testing.T) {
+	nodes := func(mems ...int64) *graph.Graph {
+		g := graph.New(len(mems))
+		for i, m := range mems {
+			g.AddNode(graph.Node{Cost: 1, Mem: m})
+			if i > 0 {
+				g.MustEdge(graph.NodeID(i-1), graph.NodeID(i))
+			}
+		}
+		return g
+	}
+	// Stage 2 of any schedule holds all three values: 3·2^62 bytes.
+	wrap := nodes(1<<62, 1<<62, 1<<62)
+	wrap.MustEdge(0, 2)
+	if _, err := FromGraph(wrap, 0); err == nil {
+		t.Fatal("three nodes of 2^62 bytes accepted")
+	}
+	if _, err := FromGraph(nodes(1, 1), -1); err == nil {
+		t.Fatal("negative overhead accepted")
+	}
+	if _, err := FromGraph(nodes(1<<52, 1<<52-3), 3); err != nil {
+		t.Fatalf("2^53 bytes in all: %v", err)
+	}
+	if _, err := FromGraph(nodes(1<<52, 1<<52-3), 4); err == nil {
+		t.Fatal("2^53 + 1 bytes in all accepted")
+	}
+	// At this batch vgg16's ideal plan peaks past 2^59 bytes, where float64
+	// sums round and the presolve's threshold misses the plan's peak.
+	if _, err := Load("vgg16", Options{Batch: 1 << 34, CoarseSegments: 12}); err == nil {
+		t.Fatal("vgg16 at batch 2^34 accepted")
+	}
+}
+
 func TestBaselineTarget(t *testing.T) {
 	wl, err := Load("linear32", Options{Batch: 1, CoarseSegments: 8})
 	if err != nil {

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/milp"
+	"repro/internal/schedule"
 	"repro/internal/telemetry"
 )
 
@@ -74,18 +77,23 @@ func TestPresolveServesIdealSchedule(t *testing.T) {
 
 // TestPresolveTraceSaysIdeal: a presolved solve's trace has no solver span,
 // and its solve span carries ideal=true to say why; a searched solve's does
-// not.
+// not. Only the first presolve of a workload lowers the ideal schedule, so
+// only its trace holds a plan span.
 func TestPresolveTraceSaysIdeal(t *testing.T) {
 	wl := loadTest(t, 8)
-	for _, tc := range []struct {
-		budget int64
-		ideal  bool
-	}{{wl.IdealPeak(), true}, {tightBudget(wl), false}} {
+	for i, tc := range []struct {
+		budget      int64
+		ideal, plan bool
+	}{
+		{wl.IdealPeak(), true, true},
+		{wl.IdealPeak(), true, false},
+		{tightBudget(wl), false, true},
+	} {
 		tr := telemetry.NewTrace()
 		if _, err := Solve(telemetry.WithTrace(context.Background(), tr), Request{Workload: wl, Budget: tc.budget}); err != nil {
 			t.Fatal(err)
 		}
-		ideal, solver := false, false
+		ideal, solver, plan := false, false, false
 		for _, sp := range tr.Spans() {
 			switch sp.Name {
 			case "solve":
@@ -94,17 +102,23 @@ func TestPresolveTraceSaysIdeal(t *testing.T) {
 				}
 			case "presolve", "branch_and_bound":
 				solver = true
+			case "plan":
+				plan = true
 			}
 		}
-		if ideal != tc.ideal || solver == tc.ideal {
-			t.Fatalf("budget %d: ideal attribute %v, solver spans %v; want ideal %v", tc.budget, ideal, solver, tc.ideal)
+		if ideal != tc.ideal || solver == tc.ideal || plan != tc.plan {
+			t.Fatalf("solve %d, budget %d: ideal attribute %v, solver spans %v, plan span %v; want ideal %v, plan %v",
+				i, tc.budget, ideal, solver, plan, tc.ideal, tc.plan)
 		}
 	}
 }
 
 // TestIdealPlanPeaksAtIdealPeak: the ideal schedule's plan, as Solve serves
 // it, simulates to exactly IdealPeak on every zoo model and on random
-// training graphs — the plan and the threshold account memory alike.
+// training graphs — the plan and the threshold account memory alike. The
+// first presolve of each workload, which lowers the plan into its memo, and
+// a later one served from the memo each return what lowering a fresh
+// core.IdealSched returns.
 func TestIdealPlanPeaksAtIdealPeak(t *testing.T) {
 	wls := []*Workload{}
 	for _, m := range Models() {
@@ -127,6 +141,12 @@ func TestIdealPlanPeaksAtIdealPeak(t *testing.T) {
 		if sched.PeakBytes != peak {
 			t.Fatalf("workload %d (%d nodes): plan peaks at %d, IdealPeak is %d", i, wl.Graph.Len(), sched.PeakBytes, peak)
 		}
+		checkFreshIdeal(t, fmt.Sprintf("workload %d (%d nodes), first presolve", i, wl.Graph.Len()), wl, sched)
+		hit, err := Solve(context.Background(), Request{Workload: wl, Budget: wl.CheckpointAllPeak()})
+		if err != nil {
+			t.Fatalf("workload %d (%d nodes), memo hit: %v", i, wl.Graph.Len(), err)
+		}
+		checkFreshIdeal(t, fmt.Sprintf("workload %d (%d nodes), memo hit", i, wl.Graph.Len()), wl, hit)
 	}
 }
 
@@ -160,6 +180,104 @@ func randomTrainingWorkload(t *testing.T, rng *rand.Rand, n int) *Workload {
 		t.Fatal(err)
 	}
 	return wl
+}
+
+// TestPresolveResultsOwnTheirData: a caller that overwrites the schedule and
+// plan one presolve returned changes nothing the next presolve returns.
+func TestPresolveResultsOwnTheirData(t *testing.T) {
+	wl := trainingWorkload(t, 6)
+	req := Request{Workload: wl, Budget: wl.IdealPeak()}
+	first, err := Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range [][][]bool{first.Sched.R, first.Sched.S, first.Sched.Free} {
+		for _, row := range m {
+			for i := range row {
+				row[i] = !row[i]
+			}
+		}
+	}
+	for i := range first.Plan.Stmts {
+		first.Plan.Stmts[i] = schedule.Stmt{Kind: schedule.OpDeallocate, Reg: -1}
+	}
+	for i := range first.Plan.RegNode {
+		first.Plan.RegNode[i] = -1
+	}
+	first.Plan.NumRegs = 0
+	next, err := Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFreshIdeal(t, "after the caller overwrote an earlier result", wl, next)
+}
+
+// TestPresolveMemoConcurrent: eight concurrent first presolves of one fresh
+// workload all get the ideal schedule, and only one of them lowers it.
+func TestPresolveMemoConcurrent(t *testing.T) {
+	src := trainingWorkload(t, 12)
+	wl := &Workload{Graph: src.Graph, Overhead: src.Overhead}
+	budget := src.IdealPeak()
+	var wg sync.WaitGroup
+	scheds := make([]*Schedule, 8)
+	errs := make([]error, len(scheds))
+	traces := make([]*telemetry.Trace, len(scheds))
+	for i := range scheds {
+		traces[i] = telemetry.NewTrace()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := telemetry.WithTrace(context.Background(), traces[i])
+			scheds[i], errs[i] = Solve(ctx, Request{Workload: wl, Budget: budget})
+		}()
+	}
+	wg.Wait()
+	plans := 0
+	for i, sched := range scheds {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		checkFreshIdeal(t, fmt.Sprintf("request %d", i), wl, sched)
+		for _, sp := range traces[i].Spans() {
+			if sp.Name == "plan" {
+				plans++
+			}
+		}
+	}
+	if plans != 1 {
+		t.Fatalf("%d plan spans across %d concurrent first presolves, want 1", plans, len(scheds))
+	}
+}
+
+// checkFreshIdeal fails unless sched holds what lowering a fresh
+// core.IdealSched of wl gives: the same matrices, plan statements and
+// registers, and the same bits of peak, cost and ideal cost.
+func checkFreshIdeal(t *testing.T, name string, wl *Workload, sched *Schedule) {
+	t.Helper()
+	g := wl.Graph
+	s := core.IdealSched(g)
+	plan, err := schedule.Generate(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan = schedule.MoveDeallocationsEarlier(g, plan)
+	sim, err := schedule.Simulate(g, plan, wl.Overhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sched.Sched
+	if got.N != s.N || !reflect.DeepEqual(got.R, s.R) || !reflect.DeepEqual(got.S, s.S) || !reflect.DeepEqual(got.Free, s.Free) {
+		t.Fatalf("%s: R, S or FREE differs from a fresh IdealSched", name)
+	}
+	if !reflect.DeepEqual(sched.Plan.Stmts, plan.Stmts) || sched.Plan.NumRegs != plan.NumRegs || !reflect.DeepEqual(sched.Plan.RegNode, plan.RegNode) {
+		t.Fatalf("%s: plan differs from a fresh lowering", name)
+	}
+	if sched.PeakBytes != sim.PeakBytes ||
+		math.Float64bits(sched.Cost) != math.Float64bits(s.Cost(g)) ||
+		math.Float64bits(sched.IdealCost) != math.Float64bits(g.TotalCost()) {
+		t.Fatalf("%s: peak %d, cost %v, ideal cost %v; a fresh lowering gives %d, %v, %v",
+			name, sched.PeakBytes, sched.Cost, sched.IdealCost, sim.PeakBytes, s.Cost(g), g.TotalCost())
+	}
 }
 
 // TestPresolveLeavesOtherPathsAlone: Unpartitioned solves and baselines run
@@ -211,9 +329,10 @@ func TestPresolveHonorsLimits(t *testing.T) {
 }
 
 // TestPlanOverBudgetRefused: one byte under the ideal peak the ideal
-// schedule no longer fits. finish refuses its plan, naming both numbers,
-// and Optimal and Interval both serve plans within the budget; where both
-// claim a proof, they agree on the cost.
+// schedule no longer fits. finish refuses its plan, naming both numbers, and
+// so does the presolve's memo, both when it lowers the plan and when it
+// serves it again. Optimal and Interval both serve plans within the budget;
+// where both claim a proof, they agree on the cost.
 func TestPlanOverBudgetRefused(t *testing.T) {
 	ctx := context.Background()
 	wl, err := Load("linear32", Options{Batch: 4, CoarseSegments: 12})
@@ -221,9 +340,18 @@ func TestPlanOverBudgetRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := wl.IdealPeak() - 1
-	_, err = wl.finish(ctx, core.IdealSched(wl.Graph), true, budget, nil)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(budget)) || !strings.Contains(err.Error(), fmt.Sprint(budget+1)) {
-		t.Fatalf("ideal plan at budget %d: err = %v, want a refusal naming %d and %d", budget, err, budget+1, budget)
+	for _, tc := range []struct {
+		name   string
+		refuse func() (*Schedule, error)
+	}{
+		{"finish", func() (*Schedule, error) { return wl.finish(ctx, core.IdealSched(wl.Graph), true, budget, nil) }},
+		{"memo build", func() (*Schedule, error) { return wl.idealSchedule(ctx, budget) }},
+		{"memo hit", func() (*Schedule, error) { return wl.idealSchedule(ctx, budget) }},
+	} {
+		_, err := tc.refuse()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(budget)) || !strings.Contains(err.Error(), fmt.Sprint(budget+1)) {
+			t.Fatalf("%s: ideal plan at budget %d: err = %v, want a refusal naming %d and %d", tc.name, budget, err, budget+1, budget)
+		}
 	}
 	var proven []*Schedule
 	for _, m := range []Method{Optimal, Interval} {
@@ -374,11 +502,20 @@ func checkSolveEvents(t *testing.T, name string, ev []Event, sched *Schedule) {
 	}
 }
 
-// TestIdealPeakFollowsWorkload: IdealPeak and CheckpointAllPeak are
-// computed once per workload, and again when its Graph or Overhead changes.
+// TestIdealPeakFollowsWorkload: IdealPeak, CheckpointAllPeak and the
+// presolve's ideal plan are computed once per workload, and again when its
+// Graph or Overhead changes.
 func TestIdealPeakFollowsWorkload(t *testing.T) {
 	wl := trainingWorkload(t, 6)
 	both := func(w *Workload) [2]int64 { return [2]int64{w.IdealPeak(), w.CheckpointAllPeak()} }
+	presolve := func(name string) {
+		t.Helper()
+		sched, err := Solve(context.Background(), Request{Workload: wl, Budget: wl.IdealPeak()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkFreshIdeal(t, name, wl, sched)
+	}
 	want := both(wl)
 	if want[0] > want[1] {
 		t.Fatalf("IdealPeak %d above CheckpointAllPeak %d", want[0], want[1])
@@ -386,13 +523,16 @@ func TestIdealPeakFollowsWorkload(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { both(wl) }); allocs != 0 {
 		t.Fatalf("known peaks cost %v allocations per call, want none", allocs)
 	}
+	presolve("as built")
 	wl.Overhead += 100
 	if got := both(wl); got != [2]int64{want[0] + 100, want[1] + 100} {
 		t.Fatalf("with 100 more bytes of overhead: peaks %v, want %v + 100", got, want)
 	}
+	presolve("with 100 more bytes of overhead")
 	other := trainingWorkload(t, 9)
 	wl.Graph = other.Graph
 	if got, want := both(wl), both(other); got != [2]int64{want[0] + 100, want[1] + 100} {
 		t.Fatalf("on another graph: peaks %v, want %v + 100", got, want)
 	}
+	presolve("on another graph")
 }

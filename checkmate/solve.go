@@ -476,8 +476,9 @@ func (w *Workload) resultSchedule(ctx context.Context, res *core.Result, budget 
 // optimum of Optimal, Interval and Approx alike, and the first rung of
 // Anytime serves it. The step applies to those four methods only: baselines
 // keep their heuristic, and without frontier-advancing stages (Unpartitioned)
-// the ideal cost is no lower bound. ideal reports whether the step applied;
-// when it did not, nothing was done.
+// the ideal cost is no lower bound. The plan is lowered once per Graph and
+// Overhead (idealSchedule); each request gets its own copy. ideal reports
+// whether the step applied; when it did not, nothing was done.
 func (w *Workload) solveIdealRequest(ctx context.Context, req Request, method Method, em *emitter) (sched *Schedule, ideal bool, err error) {
 	switch method {
 	case Optimal, Interval, Approx, Anytime:
@@ -494,14 +495,15 @@ func (w *Workload) solveIdealRequest(ctx context.Context, req Request, method Me
 	if err := tctx.Err(); err != nil {
 		return nil, true, solveCtxErr(err, "presolve")
 	}
-	// Approx never proves optimality; the presolve keeps it that way.
-	sched, err = w.finish(tctx, core.IdealSched(w.Graph), method != Approx, req.Budget, nil)
+	sched, err = w.idealSchedule(tctx, req.Budget)
 	if err != nil {
 		return nil, true, err
 	}
 	if err := tctx.Err(); err != nil {
 		return nil, true, solveCtxErr(err, "presolve")
 	}
+	// Approx never proves optimality; the presolve keeps it that way.
+	sched.Optimal = method != Approx
 	if method == Anytime {
 		sched.Method = Optimal // the ladder's first rung, not degraded
 	}

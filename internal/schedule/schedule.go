@@ -78,8 +78,12 @@ func (p *Plan) String() string {
 // allocate/compute statements for every R[t][k] = 1 and deallocations
 // according to FREE (including the reconstructed diagonal frees of
 // Section 4.8). FREE is recomputed from R and S first, so a schedule whose
-// Free disagrees with them (one read from JSON, say) still lowers correctly.
+// Free disagrees with them (one read from JSON, say) still lowers correctly;
+// a schedule shaped for another graph is an error.
 func Generate(g *graph.Graph, s *core.Sched) (*Plan, error) {
+	if err := checkShape(g, s); err != nil {
+		return nil, err
+	}
 	n := s.N
 	selfFree := s.ComputeFree(g)
 
@@ -156,6 +160,26 @@ func Generate(g *graph.Graph, s *core.Sched) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// checkShape reports a schedule whose stage count or row widths are not the
+// graph's: R and S must be n×n and FREE n×|E|, for the graph's n nodes and
+// |E| edges.
+func checkShape(g *graph.Graph, s *core.Sched) error {
+	n, m := g.Len(), g.NumEdges()
+	if s.N != n || len(s.R) != n || len(s.S) != n || len(s.Free) != n {
+		return fmt.Errorf("schedule: schedule has %d stages and %d, %d and %d rows of R, S and FREE; the graph has %d nodes",
+			s.N, len(s.R), len(s.S), len(s.Free), n)
+	}
+	for t := range n {
+		if len(s.R[t]) != n || len(s.S[t]) != n {
+			return fmt.Errorf("schedule: stage %d: R and S rows are %d and %d wide; the graph has %d nodes", t, len(s.R[t]), len(s.S[t]), n)
+		}
+		if len(s.Free[t]) != m {
+			return fmt.Errorf("schedule: stage %d: FREE row is %d wide; the graph has %d edges", t, len(s.Free[t]), m)
+		}
+	}
+	return nil
 }
 
 // MoveDeallocationsEarlier performs the code-motion optimization of

@@ -150,11 +150,19 @@ func ReadSchedJSON(r io.Reader) (*core.Sched, error) {
 	if len(in.R) != in.N || len(in.S) != in.N || len(in.Free) != in.N {
 		return nil, fmt.Errorf("schedule: row count mismatch")
 	}
+	if in.Edges < 0 {
+		return nil, fmt.Errorf("schedule: sched has %d edges", in.Edges)
+	}
+	// Check every row's width before allocating, so that the matrices are
+	// no larger than the input.
+	for t := 0; t < in.N; t++ {
+		if len(in.R[t]) != in.N || len(in.S[t]) != in.N || len(in.Free[t]) != in.Edges {
+			return nil, fmt.Errorf("schedule: row %d has %d, %d and %d columns in R, S and FREE, want %d, %d and %d",
+				t, len(in.R[t]), len(in.S[t]), len(in.Free[t]), in.N, in.N, in.Edges)
+		}
+	}
 	s := core.NewSched(in.N, in.Edges)
 	parse := func(dst []bool, src string, what string, t int) error {
-		if len(src) != len(dst) {
-			return fmt.Errorf("schedule: %s row %d has %d columns, want %d", what, t, len(src), len(dst))
-		}
 		for i := range src {
 			switch src[i] {
 			case '1':

@@ -112,6 +112,74 @@ func FuzzReadPlanJSON(f *testing.F) {
 	})
 }
 
+// foreignScheds are schedules shaped for another graph than the 2-node
+// chain: two stages and no FREE column, one stage, and three stages.
+var foreignScheds = []string{
+	`{"version":1,"n":2,"edges":0,"r":["10","01"],"s":["00","10"],"free":["",""]}`,
+	`{"version":1,"n":1,"edges":1,"r":["1"],"s":["0"],"free":["0"]}`,
+	`{"version":1,"n":3,"edges":1,"r":["100","010","001"],"s":["000","100","010"],"free":["0","0","0"]}`,
+}
+
+// TestGenerateRejectsForeignShape: a schedule whose stage count or row
+// widths are not the graph's is an error, not a panic.
+func TestGenerateRejectsForeignShape(t *testing.T) {
+	g := chainGraph(2)
+	for i, c := range foreignScheds {
+		s, err := ReadSchedJSON(strings.NewReader(c))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if _, err := Generate(g, s); err == nil {
+			t.Fatalf("case %d lowered", i)
+		}
+	}
+	bad := []func(s *core.Sched){
+		func(s *core.Sched) { s.N = 1 },
+		func(s *core.Sched) { s.R = s.R[:1] },
+		func(s *core.Sched) { s.S = append(s.S, s.S[0]) },
+		func(s *core.Sched) { s.Free = s.Free[:1] },
+		func(s *core.Sched) { s.R[1] = s.R[1][:1] },
+		func(s *core.Sched) { s.S[0] = append(s.S[0], false) },
+		func(s *core.Sched) { s.Free[1] = nil },
+	}
+	for i, mutate := range bad {
+		s := core.IdealSched(g)
+		mutate(s)
+		if _, err := Generate(g, s); err == nil {
+			t.Fatalf("mutation %d lowered", i)
+		}
+	}
+	if _, err := Generate(g, core.IdealSched(g)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzReadSchedJSON: decoding a schedule, lowering it against a graph and
+// simulating the plan never panics, whatever the input.
+func FuzzReadSchedJSON(f *testing.F) {
+	g := chainGraph(2)
+	var valid bytes.Buffer
+	if err := WriteSchedJSON(&valid, core.IdealSched(g)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	for _, c := range foreignScheds {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSchedJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		p, err := Generate(g, s)
+		if err != nil {
+			return
+		}
+		// A plan may fail its simulation; only a panic fails the target.
+		_, _ = Simulate(g, p, 0)
+	})
+}
+
 func TestSchedJSONRoundTrip(t *testing.T) {
 	g := chainGraph(5)
 	s := core.CheckpointAll(g)
@@ -146,6 +214,8 @@ func TestSchedJSONRejectsBadInput(t *testing.T) {
 		`{"version":1,"n":2,"edges":1,"r":["10"],"s":["00","00"],"free":["0","0"]}`,
 		`{"version":1,"n":1,"edges":0,"r":["2"],"s":["0"],"free":[""]}`,
 		`{"version":7,"n":0,"edges":0}`,
+		`{"version":1,"n":1,"edges":-1,"r":["1"],"s":["0"],"free":[""]}`,
+		`{"version":1,"n":1,"edges":1000000000000000,"r":["1"],"s":["0"],"free":["0"]}`,
 	}
 	for i, c := range cases {
 		if _, err := ReadSchedJSON(strings.NewReader(c)); err == nil {

@@ -382,6 +382,10 @@ func TestValidationErrors(t *testing.T) {
 		{"out-of-range self edge", api.SolveRequest{Graph: &api.GraphSpec{
 			Nodes: []api.NodeSpec{{Cost: 1, Mem: 1}}, Edges: [][2]int{{7, 7}},
 		}, Budget: 6}, http.StatusBadRequest},
+		{"bytes past 2^53", api.SolveRequest{Graph: &api.GraphSpec{
+			Nodes: []api.NodeSpec{{Cost: 1, Mem: 1 << 62}, {Cost: 1, Mem: 1 << 62}, {Cost: 1, Mem: 1 << 62}},
+			Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}},
+		}, Budget: 1 << 62}, http.StatusBadRequest},
 		{"infeasible budget", api.SolveRequest{Graph: chainSpec(10), Budget: 1}, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {

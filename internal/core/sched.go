@@ -147,10 +147,17 @@ func (s *Sched) Validate(g *graph.Graph, frontier bool) error {
 // Definition (5) is zero unless R_{t,k}, so each Free row is cleared and
 // then set only at the nodes its stage computes.
 func (s *Sched) ComputeFree(g *graph.Graph) (selfFree [][]bool) {
+	selfFree = boolMat(s.N, s.N)
+	s.computeFree(g, selfFree)
+	return selfFree
+}
+
+// computeFree is the body of ComputeFree, writing the diagonal terms into
+// selfFree; a nil selfFree skips them.
+func (s *Sched) computeFree(g *graph.Graph, selfFree [][]bool) {
 	n := s.N
 	first := edgeStarts(g)
 	m := first[g.Len()]
-	selfFree = boolMat(n, n)
 	for t := 0; t < n; t++ {
 		free := s.Free[t][:m]
 		clear(free)
@@ -162,10 +169,11 @@ func (s *Sched) ComputeFree(g *graph.Graph) (selfFree [][]bool) {
 				free[first[k]+j] = s.freeVal(g, t, int(i), k)
 			}
 			// Diagonal FREE_{t,k,k}: value k freed right after computing it.
-			selfFree[t][k] = s.freeVal(g, t, k, k)
+			if selfFree != nil {
+				selfFree[t][k] = s.freeVal(g, t, k, k)
+			}
 		}
 	}
-	return selfFree
 }
 
 // edgeStarts returns, for each node k, the index in Graph.Edges of its first
@@ -221,18 +229,28 @@ type MemProfile struct {
 // from Section 4.8's elimination are recomputed internally.
 func (s *Sched) MemUsage(g *graph.Graph, overhead int64) *MemProfile {
 	n := s.N
+	backing := make([]float64, n*n)
+	prof := &MemProfile{U: make([][]float64, n)}
+	for t := range prof.U {
+		prof.U[t] = backing[t*n : (t+1)*n : (t+1)*n]
+	}
+	s.MemUsageInto(g, overhead, prof)
+	return prof
+}
+
+// MemUsageInto is the body of MemUsage: it overwrites prof.U, whose rows
+// must hold N entries each, and prof.Peak.
+func (s *Sched) MemUsageInto(g *graph.Graph, overhead int64, prof *MemProfile) {
+	n := s.N
 	first := edgeStarts(g)
 	size := make([]float64, n)
 	for k := range size {
 		size[k] = float64(g.Node(graph.NodeID(k)).Mem)
 	}
-	backing := make([]float64, n*n)
-	prof := &MemProfile{U: make([][]float64, n)}
 	peak := 0.0
 	for t := 0; t < n; t++ {
 		free := s.Free[t]
-		u := backing[t*n : (t+1)*n : (t+1)*n]
-		prof.U[t] = u
+		u := prof.U[t][:n]
 		base := float64(overhead)
 		for i, kept := range s.S[t][:n] {
 			if kept {
@@ -264,7 +282,6 @@ func (s *Sched) MemUsage(g *graph.Graph, overhead int64) *MemProfile {
 		}
 	}
 	prof.Peak = peak
-	return prof
 }
 
 // Peak returns the peak memory of the schedule including the constant
@@ -353,6 +370,17 @@ func SolveMinR(g *graph.Graph, S [][]bool) *Sched {
 	s := NewSched(n, g.NumEdges())
 	for t := 0; t < n; t++ {
 		copy(s.S[t], S[t])
+	}
+	s.FillMinR(g)
+	return s
+}
+
+// FillMinR is the body of SolveMinR in s's own storage: it keeps s.S and
+// overwrites R and Free with the completion SolveMinR returns for it.
+func (s *Sched) FillMinR(g *graph.Graph) {
+	n := s.N
+	for t := 0; t < n; t++ {
+		clear(s.R[t][:n])
 		s.R[t][t] = true
 	}
 	// Phase a: (1c) — a checkpointed value must have been resident or
@@ -381,8 +409,7 @@ func SolveMinR(g *graph.Graph, S [][]bool) *Sched {
 			}
 		}
 	}
-	s.ComputeFree(g)
-	return s
+	s.computeFree(g, nil)
 }
 
 // FromCheckpointSet builds the static checkpoint policy S used to evaluate

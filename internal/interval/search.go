@@ -55,7 +55,13 @@ func (h nodeHeap) peekBound() float64 { return h[0].prio }
 // contained panics (a panic anywhere in the search is recovered into a
 // *telemetry.PanicError instead of killing the process); infeasibility and
 // exhausted limits are reported in Result.Status.
-func Solve(ctx context.Context, inst core.Instance, opt Options) (res *Result, err error) {
+func Solve(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
+	return solve(ctx, inst, opt, nil)
+}
+
+// solve is Solve; prepare, when set, sees the compiled problem before the
+// search starts (tests lower its memo cap and watch its evaluations).
+func solve(ctx context.Context, inst core.Instance, opt Options, prepare func(*problem)) (res *Result, err error) {
 	// The search runs on the caller's goroutine; recovery here contains
 	// panics from compilation, propagation, LP pricing, and rounding alike.
 	defer func() {
@@ -80,6 +86,9 @@ func Solve(ctx context.Context, inst core.Instance, opt Options) (res *Result, e
 		pspan.SetAttr("infeasible", err.Error())
 		pspan.End()
 		return &Result{Status: milp.StatusInfeasible, Bound: math.Inf(1), SolveTime: time.Since(start)}, nil
+	}
+	if prepare != nil {
+		prepare(pb)
 	}
 	rootLo, rootHi := pb.rootDomain()
 	rootOK := pb.propagate(rootLo, rootHi)
@@ -125,11 +134,13 @@ func Solve(ctx context.Context, inst core.Instance, opt Options) (res *Result, e
 		}
 		return bestCost - math.Max(1e-9, relGap*math.Abs(bestCost))
 	}
-	improve := func(s *core.Sched, cost float64) {
+	// improve builds a schedule only for a start vector that beats the
+	// incumbent.
+	improve := func(start []int32, cost float64) {
 		if cost >= bestCost-1e-12 {
 			return
 		}
-		best, bestCost = s, cost
+		best, bestCost = pb.schedule(start), cost
 		if opt.OnIncumbent != nil {
 			opt.OnIncumbent(cost, globalBound)
 		}
@@ -137,8 +148,8 @@ func Solve(ctx context.Context, inst core.Instance, opt Options) (res *Result, e
 
 	// The latest-start completion is the minimum-retention baseline: often
 	// the first feasible schedule on large graphs, available before any LP.
-	if s, cost, ok := pb.attempt(rootLo, rootHi, nil); ok {
-		improve(s, cost)
+	if st, cost, ok := pb.attempt(rootLo, rootHi, nil); ok {
+		improve(st, cost)
 	}
 
 	h := &nodeHeap{{prio: math.Inf(-1), lo: rootLo, hi: rootHi}}
@@ -192,8 +203,8 @@ func Solve(ctx context.Context, inst core.Instance, opt Options) (res *Result, e
 		if bound >= cutoff() {
 			continue
 		}
-		if s, cost, ok := pb.attempt(nd.lo, nd.hi, x); ok {
-			improve(s, cost)
+		if st, cost, ok := pb.attempt(nd.lo, nd.hi, x); ok {
+			improve(st, cost)
 		}
 		if bound >= cutoff() {
 			continue
@@ -245,6 +256,8 @@ func Solve(ctx context.Context, inst core.Instance, opt Options) (res *Result, e
 	}
 	sspan.SetAttr("nodes", res.Nodes)
 	sspan.SetAttr("status", res.Status.String())
+	sspan.SetAttr("evaluations", pb.evals)
+	sspan.SetAttr("evaluation_hits", pb.hits)
 	return res, nil
 }
 
@@ -302,12 +315,13 @@ func account(c *milp.Counters, sol *lp.Solution, offered *lp.Basis, isRoot bool)
 // retention to capacity-minus-margin — until the exact memory recurrence
 // fits. Small instances succeed at margin zero; large tight ones climb
 // until the spacing between surviving checkpoints leaves room for the
-// walks. A nil x seeds the keep-everything pattern before trimming.
-func (pb *problem) attempt(lo, hi []int32, x []float64) (*core.Sched, float64, bool) {
+// walks. A nil x seeds the keep-everything pattern before trimming. It
+// returns the first fitting start vector and its cost.
+func (pb *problem) attempt(lo, hi []int32, x []float64) ([]int32, float64, bool) {
 	margins := [...]float64{0, pb.budget / 16, pb.budget / 8, pb.budget / 4, pb.budget / 2, math.Inf(1)}
 	for _, margin := range margins {
-		if s, cost, ok := pb.attemptMargin(lo, hi, x, margin); ok {
-			return s, cost, true
+		if start, cost, ok := pb.attemptMargin(lo, hi, x, margin); ok {
+			return start, cost, true
 		}
 	}
 	return nil, 0, false
@@ -317,7 +331,7 @@ func (pb *problem) attempt(lo, hi []int32, x []float64) (*core.Sched, float64, b
 // evicting windows off the true peak stage.
 const peakTries = 8
 
-func (pb *problem) attemptMargin(lo, hi []int32, x []float64, margin float64) (*core.Sched, float64, bool) {
+func (pb *problem) attemptMargin(lo, hi []int32, x []float64, margin float64) ([]int32, float64, bool) {
 	start := make([]int32, len(pb.wins))
 	for wi := range pb.wins {
 		w := &pb.wins[wi]
@@ -376,20 +390,20 @@ func (pb *problem) attemptMargin(lo, hi []int32, x []float64, margin float64) (*
 		}
 	}
 	for try := 0; try < peakTries; try++ {
-		s, cost, ok, peakStage := pb.evaluate(start)
-		if ok {
-			return s, cost, true
+		e := pb.evaluate(start)
+		if e.ok {
+			return start, e.cost, true
 		}
 		ev := -1
-		for _, wi := range pb.coverOf[peakStage] {
-			if int(start[wi]) <= peakStage && int(hi[wi]) > peakStage && (ev < 0 || pb.wins[wi].mem > pb.wins[ev].mem) {
+		for _, wi := range pb.coverOf[e.peakStage] {
+			if int(start[wi]) <= e.peakStage && int(hi[wi]) > e.peakStage && (ev < 0 || pb.wins[wi].mem > pb.wins[ev].mem) {
 				ev = int(wi)
 			}
 		}
 		if ev < 0 {
 			return nil, 0, false
 		}
-		start[ev] = int32(peakStage + 1)
+		start[ev] = int32(e.peakStage + 1)
 	}
 	return nil, 0, false
 }

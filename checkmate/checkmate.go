@@ -139,7 +139,7 @@ func FromNet(net *nets.Net) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkBytes(ad.Graph, net.Overhead()); err != nil {
+	if err := checkSums(ad.Graph, net.Overhead()); err != nil {
 		return nil, err
 	}
 	return &Workload{Net: net, AD: ad, Graph: ad.Graph, Overhead: net.Overhead()}, nil
@@ -151,7 +151,7 @@ func FromGraph(g *graph.Graph, overhead int64) (*Workload, error) {
 	if err := g.Validate(true); err != nil {
 		return nil, err
 	}
-	if err := checkBytes(g, overhead); err != nil {
+	if err := checkSums(g, overhead); err != nil {
 		return nil, err
 	}
 	return &Workload{Graph: g, Overhead: overhead}, nil
@@ -163,20 +163,30 @@ func FromGraph(g *graph.Graph, overhead int64) (*Workload, error) {
 // and IdealPeak saw.
 const maxBytes = 1 << 53
 
-// checkBytes refuses a negative overhead and an Overhead + Σ Mem above
-// maxBytes. Node sizes are non-negative (graph.Validate), so the running sum
-// cannot overflow before it passes the bound.
-func checkBytes(g *graph.Graph, overhead int64) error {
+// checkSums refuses a negative overhead, an Overhead + Σ Mem above
+// maxBytes, and node costs that are not finite numbers. Node sizes are
+// non-negative (graph.Validate), so the running sum cannot overflow before
+// it passes the bound. The costliest schedule computes every node in each of
+// the n stages, so n·Σ C_i must be finite too: past that a schedule's cost,
+// and its overhead, would be ±Inf or NaN, which no JSON number encodes.
+func checkSums(g *graph.Graph, overhead int64) error {
 	if overhead < 0 {
 		return fmt.Errorf("checkmate: memory overhead %d is negative", overhead)
 	}
-	total := overhead
+	total, cost := overhead, 0.0
 	for i := range g.Len() {
-		mem := g.Node(graph.NodeID(i)).Mem
-		if mem > maxBytes-total {
+		node := g.Node(graph.NodeID(i))
+		if node.Mem > maxBytes-total {
 			return fmt.Errorf("checkmate: overhead and node sizes sum past 2^53 bytes, beyond what the memory accounting holds exactly")
 		}
-		total += mem
+		total += node.Mem
+		if math.IsNaN(node.Cost) || math.IsInf(node.Cost, 0) {
+			return fmt.Errorf("checkmate: node %d has cost %v, not a finite number", i, node.Cost)
+		}
+		cost += node.Cost
+	}
+	if math.IsInf(cost*float64(g.Len()), 0) {
+		return fmt.Errorf("checkmate: node costs sum to %g; a schedule of %d stages could cost past the float64 range", cost, g.Len())
 	}
 	return nil
 }
@@ -600,8 +610,15 @@ type Schedule struct {
 }
 
 // Overhead returns the relative execution overhead versus the ideal
-// checkpoint-all policy (1.0 = no recomputation cost).
-func (s *Schedule) Overhead() float64 { return s.Cost / s.IdealCost }
+// checkpoint-all policy (1.0 = no recomputation cost). Costs are
+// non-negative, so when IdealCost is 0 every schedule of the workload costs
+// 0, and its overhead is 1.
+func (s *Schedule) Overhead() float64 {
+	if s.IdealCost == 0 {
+		return 1
+	}
+	return s.Cost / s.IdealCost
+}
 
 // finish turns a solved schedule into its execution plan and simulates the
 // plan. Every method's schedule passes through here or through

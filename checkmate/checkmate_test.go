@@ -135,6 +135,48 @@ func TestWorkloadBytesBounded(t *testing.T) {
 	}
 }
 
+// TestWorkloadCostsFinite: a node cost that is NaN or infinite is refused
+// when the workload is built, and so are finite costs whose sum, times the
+// number of stages, overflows: a schedule's cost and overhead could not be
+// encoded. A workload whose costs are all 0 is accepted, and every schedule
+// of it has overhead 1.
+func TestWorkloadCostsFinite(t *testing.T) {
+	costs := func(cs ...float64) *graph.Graph {
+		g := graph.New(len(cs))
+		for i, c := range cs {
+			g.AddNode(graph.Node{Cost: c, Mem: 1})
+			if i > 0 {
+				g.MustEdge(graph.NodeID(i-1), graph.NodeID(i))
+			}
+		}
+		return g
+	}
+	for name, g := range map[string]*graph.Graph{
+		"NaN":         costs(1, math.NaN()),
+		"+Inf":        costs(math.Inf(1), 1),
+		"sum":         costs(1e308, 1e308),
+		"sum×stages":  costs(1e308/4, 1e308/4, 1e308/4),
+		"a large NaN": costs(math.MaxFloat64, math.NaN()),
+	} {
+		if _, err := FromGraph(g, 0); err == nil {
+			t.Errorf("%s: costs accepted", name)
+		}
+	}
+	wl, err := FromGraph(costs(0, 0, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{wl.MinBudget(), wl.IdealPeak()} {
+		sched, err := Solve(context.Background(), Request{Workload: wl, Method: Optimal, Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sched.Overhead() != 1 {
+			t.Fatalf("budget %d: overhead %v of a zero-cost workload", budget, sched.Overhead())
+		}
+	}
+}
+
 func TestBaselineTarget(t *testing.T) {
 	wl, err := Load("linear32", Options{Batch: 1, CoarseSegments: 8})
 	if err != nil {

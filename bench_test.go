@@ -26,6 +26,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gradaccum"
 	"repro/internal/graph"
+	"repro/internal/interval"
 	"repro/internal/lp"
 	"repro/internal/nets"
 	"repro/internal/offload"
@@ -315,6 +316,33 @@ func BenchmarkPresolve(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkIntervalSearch times the Interval layer alone, run to its proof
+// on the zoo's tight instances: unet, transformer and resnet50 at batch 4
+// and 12 segments, 30% of the way from MinBudget to CheckpointAllPeak, under
+// a 60 s limit. Nodes are reported beside the time; they do not depend on
+// machine speed.
+func BenchmarkIntervalSearch(b *testing.B) {
+	for _, model := range []string{"unet", "transformer", "resnet50"} {
+		b.Run(model, func(b *testing.B) {
+			wl, err := checkmate.Load(model, checkmate.Options{Batch: 4, CoarseSegments: 12})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lo, hi := wl.MinBudget(), wl.CheckpointAllPeak()
+			inst := core.Instance{G: wl.Graph, Budget: lo + int64(0.3*float64(hi-lo)), Overhead: wl.Overhead}
+			var res *interval.Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = interval.Solve(context.Background(), inst, interval.Options{TimeLimit: time.Minute}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Nodes), "nodes")
 		})
 	}
 }

@@ -116,7 +116,8 @@ type SolveResponse struct {
 	// Optimal reports proven optimality (always false for approx).
 	Optimal bool `json:"optimal"`
 	// Cost and IdealCost are in the workload's cost units; Overhead is
-	// Cost/IdealCost, the paper's "overhead ×" axis.
+	// Cost/IdealCost, the paper's "overhead ×" axis, and 1 when IdealCost
+	// is 0 (every schedule of such a workload costs 0).
 	Cost      float64 `json:"cost"`
 	IdealCost float64 `json:"ideal_cost"`
 	Overhead  float64 `json:"overhead"`

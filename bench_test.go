@@ -373,10 +373,14 @@ func BenchmarkModelZooBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceSolve measures the planning service's two request paths:
-// "miss" pays for a full MILP solve per request (distinct budgets defeat the
-// cache), "hit" measures the fingerprint-keyed LRU fast path the service
-// exists to provide.
+// BenchmarkServiceSolve measures the planning service's request paths
+// through the client: "miss" pays for a full MILP solve per request
+// (distinct budgets defeat the cache), and the three hit benchmarks measure
+// the fingerprint-keyed LRU fast path the service exists to provide, once
+// per solve-plane answer: "hit" a blocking solve, "stream-hit" the same solve
+// over SSE and "sweep-hit" a three-point blocking sweep. The stream and sweep
+// hits ask for mobilenet at batch 4 and 12 segments, as perfbench's serve
+// workloads do.
 func BenchmarkServiceSolve(b *testing.B) {
 	g := trainGraph(b, 10)
 	spec := serviceapi.GraphSpecOf(g, 0)
@@ -391,6 +395,7 @@ func BenchmarkServiceSolve(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// Vary the budget so every request is a distinct cache key.
 			if _, err := c.Solve(ctx, serviceapi.SolveRequest{Graph: spec, Budget: int64(8 + i%4), NoCache: true}); err != nil {
@@ -403,6 +408,7 @@ func BenchmarkServiceSolve(b *testing.B) {
 		if _, err := c.Solve(ctx, req); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, err := c.Solve(ctx, req)
@@ -411,6 +417,51 @@ func BenchmarkServiceSolve(b *testing.B) {
 			}
 			if !resp.Cached {
 				b.Fatal("expected a cache hit")
+			}
+		}
+	})
+
+	wl, err := checkmate.Load("mobilenet", checkmate.Options{Batch: 4, CoarseSegments: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := wl.MinBudget(), wl.CheckpointAllPeak()
+	sweep := serviceapi.SweepRequest{
+		Model: "mobilenet", Batch: 4, CoarseSegments: 12, Method: string(checkmate.Interval),
+		Budgets: []int64{lo + (hi-lo)*5/10, lo + (hi-lo)*6/10, lo + (hi-lo)*7/10},
+	}
+	if _, err := c.Sweep(ctx, sweep); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("stream-hit", func(b *testing.B) {
+		req := serviceapi.SolveRequest{
+			Model: sweep.Model, Batch: sweep.Batch, CoarseSegments: sweep.CoarseSegments,
+			Method: sweep.Method, Budget: sweep.Budgets[0],
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := c.SolveStream(ctx, req, 0, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !resp.Cached {
+				b.Fatal("expected a cache hit")
+			}
+		}
+	})
+	b.Run("sweep-hit", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := c.Sweep(ctx, sweep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, pt := range resp.Points {
+				if !pt.Cached {
+					b.Fatal("expected a cache hit at every point")
+				}
 			}
 		}
 	})

@@ -1,10 +1,10 @@
 package service
 
-// Fleet-mode glue: the decision of whether a request is ours to solve, the
-// relays that proxy it to its rendezvous owner, and the fleet_local stamp
-// applied when the owner cannot answer and availability wins over dedup.
-// The mechanics (membership, health, hedged forwarding) live in
-// internal/service/fleet; this file is only the handler-side policy.
+// Fleet-mode glue: the relays that proxy a request to its rendezvous owner,
+// and the fleet_local stamp applied when the owner cannot answer and
+// availability wins over dedup. The decision to relay is route's, in
+// pipeline.go; the mechanics (membership, health, hedged forwarding) live in
+// internal/service/fleet.
 
 import (
 	"encoding/json"
@@ -15,7 +15,6 @@ import (
 	"repro/checkmate"
 	"repro/internal/graph"
 	"repro/internal/service/api"
-	"repro/internal/service/fleet"
 	"repro/internal/telemetry"
 )
 
@@ -25,27 +24,12 @@ import (
 // finish.
 const forwardSlack = 10 * time.Second
 
-// forwardTarget decides whether r should be proxied for key: fleet mode is
-// on, the request is not itself a forwarded hop (the one-hop bound that
-// makes routing loops impossible under divergent health views), and the
-// key's owner is a healthy remote peer.
-func (s *Server) forwardTarget(r *http.Request, key string) (string, bool) {
-	if s.fleet == nil || r.Header.Get(fleet.HopHeader) != "" {
-		return "", false
-	}
-	owner, self := s.fleet.Owner(key)
-	if self {
-		return "", false
-	}
-	return owner, true
-}
-
 // cachedResponse consults both cache tiers for key — the in-memory shard,
 // then the persistent store — and returns a mutable copy stamped Cached. A
 // store hit repopulates the memory shard so the next lookup skips the disk
-// read too. solveKeyed calls it before solving, and fleet handlers before
-// forwarding: a locally cached answer never crosses the network, whoever
-// owns the key.
+// read too. solveKeyed calls it before solving, and route before relaying
+// a single solve: a locally cached answer never crosses the network,
+// whoever owns the key.
 func (s *Server) cachedResponse(key graph.Fingerprint) (*api.SolveResponse, bool) {
 	if resp, ok := s.cache.get(key); ok {
 		resp.Cached = true
@@ -166,23 +150,4 @@ func (s *Server) stampFleetLocal(resp *api.SolveResponse, owner string) {
 	s.metrics.degraded.Inc()
 	//lint:allow metriclabels resp.Method round-trips checkmate.Method, a closed vocabulary
 	s.metrics.degradedBy.With(string(checkmate.DegradedFleetLocal), resp.Method).Inc()
-}
-
-// sweepKey is the rendezvous routing key of a sweep: the workload fingerprint
-// plus method, with no budgets — every budget point of one workload lands on
-// one owner, so consecutive points reuse that owner's warm-start state just
-// like a local sweep would.
-func sweepKey(wl *checkmate.Workload, method string) string {
-	return "sweep/" + wl.Fingerprint().String() + "/" + method
-}
-
-// sweepForwardTimeout sizes a forwarded sweep's per-attempt timeout: the
-// points execute at the owner with worker-count parallelism, so the wave
-// count times the per-point limit, plus slack.
-func sweepForwardTimeout(points, workers int, timeLimit time.Duration) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	waves := (points + workers - 1) / workers
-	return time.Duration(waves) * timeLimit
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -253,5 +256,75 @@ func TestFleetSweepStreamOwnerCrash(t *testing.T) {
 	checkSweepFeasible(t, done.Sweep)
 	if got := localFallbacks(nodes[0]); got != 1 {
 		t.Fatalf("local_fallbacks = %d, want 1", got)
+	}
+}
+
+// corpusURL starts a standalone server that exposes its store as the shared
+// remote corpus, and returns the corpus's base URL.
+func corpusURL(t *testing.T) string {
+	t.Helper()
+	srv, err := New(Config{Workers: 1, CacheDir: t.TempDir(), Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.StoreHandler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestFleetFallbackChecksLocalTiersOnce: a solve whose owner is down looks
+// in memory, on disk and in the remote corpus once before it is solved
+// here, not once before the relay and again after it fails.
+func TestFleetFallbackChecksLocalTiersOnce(t *testing.T) {
+	corpus := corpusURL(t)
+	nodes := fleetCluster(t, 2, func(i int, cfg *Config) {
+		freezeProbes(i, cfg)
+		cfg.CacheDir = t.TempDir()
+		cfg.RemoteStoreURL = corpus
+	})
+	spec := chainSpec(16)
+	budget := budgetOwnedBy(t, nodes, spec, 1)
+	nodes[1].crash()
+
+	resp, err := solveAt(nodes[0], api.SolveRequest{Graph: spec, Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.DegradedCode != string(checkmate.DegradedFleetLocal) {
+		t.Fatalf("fallback answer not stamped fleet_local: code %q", resp.DegradedCode)
+	}
+	st := nodes[0].srv.Stats()
+	if st.Store == nil || st.Store.Remote == nil {
+		t.Fatalf("entry node has no tiered store: %+v", st.Store)
+	}
+	if st.CacheMisses != 1 || st.Store.Misses != 1 || st.Store.Remote.Misses != 1 {
+		t.Fatalf("misses: memory %d, disk %d, remote %d; want 1 each",
+			st.CacheMisses, st.Store.Misses, st.Store.Remote.Misses)
+	}
+}
+
+// TestFleetStreamLocalHitCountsOnce: a non-owner that holds a stream's
+// answer in memory serves it without relaying, and counts one cache hit.
+func TestFleetStreamLocalHitCountsOnce(t *testing.T) {
+	nodes := fleetCluster(t, 2, nil)
+	spec := chainSpec(16)
+	budget := budgetOwnedBy(t, nodes, spec, 1)
+	// The relayed answer is kept in the entry node's memory tier.
+	if _, err := solveAt(nodes[0], api.SolveRequest{Graph: spec, Budget: budget}); err != nil {
+		t.Fatal(err)
+	}
+	before := nodes[0].srv.Stats()
+
+	frames, done := streamFrames(t, solveStreamAt(nodes[0], spec, budget))
+	if len(frames) != 1 || done.Result == nil || !done.Result.Cached {
+		t.Fatalf("stream of a locally cached answer: %+v", frames)
+	}
+	after := nodes[0].srv.Stats()
+	if hits := after.CacheHits - before.CacheHits; hits != 1 {
+		t.Fatalf("stream counted %d cache hits, want 1", hits)
+	}
+	if after.Fleet.Forwards != before.Fleet.Forwards {
+		t.Fatal("a locally cached stream was relayed")
 	}
 }

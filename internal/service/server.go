@@ -18,12 +18,27 @@
 //	GET  /v1/solve/stream — the same solve as Server-Sent Events: live
 //	                        incumbent/bound progress, terminal done frame
 //	POST /v1/sweep        — one workload at several budgets (Figure 5 as a service)
+//	GET  /v1/sweep/stream — the same sweep as Server-Sent Events, a frame per point
 //	GET  /v1/models       — the model-zoo names
 //	GET  /v1/methods      — the solver methods, with descriptions
 //	GET  /v1/solve/trace  — Chrome trace_event JSON for a recent solve
 //	GET  /v1/stats        — cache/pool/request counters
 //	GET  /metrics         — the same counters in Prometheus text format
 //	GET  /healthz         — liveness
+//
+// The four solve-plane endpoints share one request pipeline (handleJob, in
+// pipeline.go):
+//
+//  1. Decode. A POST's JSON body or a stream's query becomes a job, one
+//     solve or one sweep, validated before any work is queued.
+//  2. Route. In fleet mode a job is relayed to its rendezvous owner, unless
+//     this process owns it or holds its answer in the cache tiers. A relay
+//     that gets no definitive answer falls back to running the job here.
+//  3. Run. Each SolveKey goes through the cache tiers and, on a miss, the
+//     worker pool (solveKeyed). The run ends in an api.StreamDone.
+//  4. Answer. A POST writes the done frame's result or error as one JSON
+//     body. A stream publishes progress frames and then the done frame to a
+//     hub that every identical stream shares.
 package service
 
 import (
@@ -37,7 +52,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,9 +208,8 @@ type Server struct {
 	traces *traceStore
 
 	// fleet is the membership/routing/forwarding layer when fleet mode is
-	// configured (Config.FleetSelf); nil for a standalone server. Handlers
-	// consult it after the cache tiers: a locally cached answer never
-	// crosses the network.
+	// configured (Config.FleetSelf); nil for a standalone server. route
+	// consults it once per request.
 	fleet *fleet.Fleet
 
 	// wlMu guards wlMemo, a small cache of built zoo workloads keyed by
@@ -377,10 +390,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/models", s.count("models", s.handleModels))
 	mux.HandleFunc("/v1/methods", s.count("methods", s.handleMethods))
 	mux.HandleFunc("/v1/stats", s.count("stats", s.handleStats))
-	mux.HandleFunc("/v1/solve", s.count("solve", s.handleSolve))
-	mux.HandleFunc("/v1/solve/stream", s.count("solve_stream", s.handleSolveStream))
-	mux.HandleFunc("/v1/sweep", s.count("sweep", s.handleSweep))
-	mux.HandleFunc("/v1/sweep/stream", s.count("sweep_stream", s.handleSweepStream))
+	mux.HandleFunc("/v1/solve", s.count("solve", s.handleJob))
+	mux.HandleFunc("/v1/solve/stream", s.count("solve_stream", s.handleJob))
+	mux.HandleFunc("/v1/sweep", s.count("sweep", s.handleJob))
+	mux.HandleFunc("/v1/sweep/stream", s.count("sweep_stream", s.handleJob))
 	mux.HandleFunc("/v1/solve/trace", s.count("solve_trace", s.handleSolveTrace))
 	mux.HandleFunc("/metrics", s.count("metrics", s.handleMetrics))
 	return mux
@@ -606,8 +619,9 @@ func (s *Server) solveParamsFrom(method string, budget, timeLimitMS int64, relGa
 // callers compute it once per request or sweep point and reuse it for
 // routing and stream-hub naming.
 func (s *Server) solveKeyed(ctx context.Context, wl *checkmate.Workload, p solveParams, key graph.Fingerprint, noCache bool) (*api.SolveResponse, error) {
-	// Hit/miss accounting lives in the cache tiers; NoCache requests never
-	// consult them, so they skew no counter.
+	// Hit/miss accounting lives in the cache tiers. noCache skips them: a
+	// NoCache request never consults them, and a fleet fallback consulted
+	// them before its relay, so neither skews a counter.
 	if !noCache {
 		if resp, ok := s.cachedResponse(key); ok {
 			return resp, nil
@@ -821,129 +835,47 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// writeSolveErr maps a solve error onto its HTTP reply. Load-shedding 503s
-// carry a Retry-After hint so well-behaved clients back off for roughly the
-// backlog's duration instead of hammering an overloaded instance.
-func (s *Server) writeSolveErr(w http.ResponseWriter, r *http.Request, err error) {
-	status := solveStatus(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
-	writeErr(w, r, status, "%v", err)
-}
-
-// rejectIfDraining answers solve-plane requests arriving during shutdown
-// with 503 + Retry-After and reports whether it did.
-func (s *Server) rejectIfDraining(w http.ResponseWriter, r *http.Request) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
-	return true
-}
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectIfDraining(w, r) {
-		return
-	}
-	var req api.SolveRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	p, err := s.solveParamsFrom(req.Method, req.Budget, req.TimeLimitMS, req.RelGap)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	wl, err := s.buildWorkload(workloadSpec{
-		model: req.Model, batch: req.Batch, device: req.Device,
-		coarseSegments: req.CoarseSegments, graph: req.Graph,
-	})
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "building workload: %v", err)
-		return
-	}
-	key := wl.SolveKeyFor(p.method, p.budget, p.opt)
-	if owner, ok := s.forwardTarget(r, key.String()); ok {
-		// A locally cached answer beats the network no matter who owns the
-		// key; the tiers are only consulted on the forwarding path so the
-		// standalone hit/miss accounting in solveKeyed stays untouched.
-		if !req.NoCache {
-			if resp, ok := s.cachedResponse(key); ok {
-				writeJSON(w, http.StatusOK, resp)
-				return
-			}
-		}
-		if body, merr := json.Marshal(req); merr == nil {
-			if s.relaySolve(w, r, owner, "/v1/solve", body, p.opt.TimeLimit, key) {
-				return
-			}
-		}
-		// Owner unreachable: availability beats dedup. Solve here, stamped.
-		resp, err := s.solveKeyed(r.Context(), wl, p, key, req.NoCache)
-		if err != nil {
-			s.writeSolveErr(w, r, err)
-			return
-		}
-		s.stampFleetLocal(resp, owner)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	resp, err := s.solveKeyed(r.Context(), wl, p, key, req.NoCache)
-	if err != nil {
-		s.writeSolveErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// sweepPlan is a fully validated sweep: the workload, its budget points in
-// ascending order, and each point's solve parameters. Both the blocking
-// /v1/sweep handler and the streaming /v1/sweep/stream handler build one,
-// then hand it to runSweep.
-type sweepPlan struct {
+// sweepJob is one validated sweep, /v1/sweep or /v1/sweep/stream: the
+// workload, its budget points in ascending order, and each point's solve
+// parameters.
+type sweepJob struct {
+	s      *Server
+	req    api.SweepRequest
 	wl     *checkmate.Workload
-	method string
 	params []solveParams
 	resp   api.SweepResponse // envelope (MinBudget, CheckpointAllPeak); Points filled by runSweep
+	keys   []graph.Fingerprint
 }
 
 // solveKeys returns each point's SolveKey, params[i]'s at index i. A sweep
 // computes them once, when it is about to run here rather than be relayed
 // to its fleet owner.
-func (p *sweepPlan) solveKeys() []graph.Fingerprint {
-	keys := make([]graph.Fingerprint, len(p.params))
-	for i, sp := range p.params {
-		keys[i] = p.wl.SolveKeyFor(sp.method, sp.budget, sp.opt)
+func (j *sweepJob) solveKeys() []graph.Fingerprint {
+	if j.keys == nil {
+		j.keys = make([]graph.Fingerprint, len(j.params))
+		for i, sp := range j.params {
+			j.keys[i] = j.wl.SolveKeyFor(sp.method, sp.budget, sp.opt)
+		}
 	}
-	return keys
+	return j.keys
 }
 
-// buildSweepPlan validates req end to end — workload, budget list, every
+// planSweep validates plan.req end to end — workload, budget list, every
 // point's solve parameters — before any work is enqueued, so a bad budget
-// rejects the sweep cleanly instead of orphaning queued solves. On error the
-// returned int is the HTTP status to reject with.
-func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
+// rejects the sweep cleanly instead of orphaning queued solves.
+func (s *Server) planSweep(plan *sweepJob) error {
+	req := &plan.req
 	wl, err := s.buildWorkload(workloadSpec{
 		model: req.Model, batch: req.Batch, device: req.Device,
 		coarseSegments: req.CoarseSegments, graph: req.Graph,
 	})
 	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("building workload: %v", err)
+		return fmt.Errorf("building workload: %v", err)
 	}
-	plan := &sweepPlan{
-		wl:     wl,
-		method: req.Method,
-		resp: api.SweepResponse{
-			MinBudget:         wl.MinBudget(),
-			CheckpointAllPeak: wl.CheckpointAllPeak(),
-		},
+	plan.wl = wl
+	plan.resp = api.SweepResponse{
+		MinBudget:         wl.MinBudget(),
+		CheckpointAllPeak: wl.CheckpointAllPeak(),
 	}
 	budgets := append([]int64(nil), req.Budgets...)
 	if len(budgets) == 0 {
@@ -960,18 +892,18 @@ func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
 		}
 	}
 	if len(budgets) > 256 {
-		return nil, http.StatusBadRequest, fmt.Errorf("sweep of %d budgets exceeds the 256-point limit", len(budgets))
+		return fmt.Errorf("sweep of %d budgets exceeds the 256-point limit", len(budgets))
 	}
 	sort.Slice(budgets, func(i, j int) bool { return budgets[i] < budgets[j] })
 	plan.params = make([]solveParams, len(budgets))
 	for i, budget := range budgets {
-		p, err := s.solveParamsFrom(plan.method, budget, req.TimeLimitMS, req.RelGap)
+		p, err := s.solveParamsFrom(req.Method, budget, req.TimeLimitMS, req.RelGap)
 		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("budget %d: %v", budget, err)
+			return fmt.Errorf("budget %d: %v", budget, err)
 		}
 		plan.params[i] = p
 	}
-	return plan, 0, nil
+	return nil
 }
 
 // runSweep executes every point of plan, keys[i] being point i's SolveKey
@@ -984,7 +916,7 @@ func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
 // throttled to the worker count: pool.submit's enqueue is non-blocking, so
 // firing all points at once would overflow the bounded queue and fail most
 // of a large sweep with spurious queue-full errors.
-func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, keys []graph.Fingerprint, onPoint func(i int, pt api.SweepPoint)) api.SweepResponse {
+func (s *Server) runSweep(ctx context.Context, plan *sweepJob, keys []graph.Fingerprint, onPoint func(i int, pt api.SweepPoint)) api.SweepResponse {
 	resp := plan.resp
 	resp.Points = make([]api.SweepPoint, len(plan.params))
 	var mu sync.Mutex // serializes onPoint across point goroutines
@@ -1037,46 +969,4 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, keys []graph.Fin
 	}
 	wg.Wait()
 	return resp
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectIfDraining(w, r) {
-		return
-	}
-	var req api.SweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	plan, status, err := s.buildSweepPlan(req)
-	if err != nil {
-		writeErr(w, r, status, "%v", err)
-		return
-	}
-
-	// Fleet routing: a sweep is keyed by workload+method (not budgets), so
-	// every budget point of one workload lands on one owner and consecutive
-	// points reuse its warm-start state. Owner down → run the sweep locally;
-	// SweepPoint carries no degraded-code field, so the fallback is counted
-	// (fleet local_fallbacks) rather than stamped per point.
-	if owner, ok := s.forwardTarget(r, sweepKey(plan.wl, plan.method)); ok {
-		if body, merr := json.Marshal(req); merr == nil {
-			timeout := sweepForwardTimeout(len(plan.params), s.pool.workers, plan.params[0].opt.TimeLimit)
-			if s.relaySolve(w, r, owner, "/v1/sweep", body, timeout, graph.Fingerprint{}) {
-				return
-			}
-		}
-		s.fleet.NoteLocalFallback()
-	}
-
-	resp := s.runSweep(r.Context(), plan, plan.solveKeys(), nil)
-	if err := r.Context().Err(); err != nil {
-		writeErr(w, r, http.StatusRequestTimeout, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

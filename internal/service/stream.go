@@ -241,99 +241,6 @@ func (s *Server) removeStream(h *streamHub) {
 	s.streamMu.Unlock()
 }
 
-// handleSolveStream is GET /v1/solve/stream: the streaming twin of
-// POST /v1/solve. The request arrives as query parameters (the graph
-// alternative as a JSON-encoded "graph" parameter); the response is a
-// Server-Sent-Events stream of started/incumbent/bound frames ending in a
-// terminal done frame that carries the exact SolveResponse the blocking
-// endpoint returns. Concurrent watchers of one SolveKey attach to a single
-// in-flight solve; Last-Event-ID resumes a dropped connection against that
-// solve's event history.
-func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.rejectIfDraining(w, r) {
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, r, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	var req api.SolveRequest
-	if err := api.DecodeQuery(r.URL.Query(), &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	p, err := s.solveParamsFrom(req.Method, req.Budget, req.TimeLimitMS, req.RelGap)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	wl, err := s.buildWorkload(workloadSpec{
-		model: req.Model, batch: req.Batch, device: req.Device,
-		coarseSegments: req.CoarseSegments, graph: req.Graph,
-	})
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "building workload: %v", err)
-		return
-	}
-	key := wl.SolveKeyFor(p.method, p.budget, p.opt)
-
-	// Fleet routing: relay the owner's stream byte-for-byte when the key is
-	// someone else's. Relay failure falls through to a local solve whose
-	// stream opens with a degraded frame and whose done result carries the
-	// fleet_local stamp — the same story the blocking endpoint tells.
-	var fleetOwner string
-	if owner, ok := s.forwardTarget(r, key.String()); ok {
-		cachedLocally := false
-		if !req.NoCache {
-			// Cached locally: stream the local (instant) solve rather than
-			// relaying; solveKeyed below hits the same cache.
-			_, cachedLocally = s.cachedResponse(key)
-		}
-		if !cachedLocally {
-			if s.relayStream(w, r, flusher, owner) {
-				return
-			}
-			fleetOwner = owner
-		}
-	}
-
-	// The hub's solve goroutine runs on a detached context (watchers come and
-	// go); carry the initiating request's ID into it so the solve — and the
-	// done frame every watcher receives — stays correlated with this request.
-	rid := telemetry.RequestID(r.Context())
-	hub, release := s.attachStream(key.String(), func(ctx context.Context, h *streamHub) {
-		if rid != "" {
-			ctx = telemetry.WithRequestID(ctx, rid)
-		}
-		if fleetOwner != "" {
-			h.publish(api.StreamEventDegraded, api.StreamDegraded{
-				From:   "fleet:" + fleetOwner,
-				To:     "local",
-				Reason: "fleet owner unreachable; solving locally",
-			})
-		}
-		resp, err := s.solveKeyed(ctx, wl, p, key, req.NoCache)
-		if err == nil && fleetOwner != "" {
-			s.stampFleetLocal(resp, fleetOwner)
-		}
-		done := api.StreamDone{Result: resp, RequestID: rid}
-		if err != nil {
-			done.Error = err.Error()
-			done.Status = solveStatus(err)
-		}
-		h.publish(api.StreamEventDone, done)
-		s.removeStream(h)
-	})
-	defer release()
-
-	s.serveSSE(w, r, flusher, hub)
-}
-
 // serveSSE drains hub to one SSE watcher: replay from the request's
 // Last-Event-ID cursor, then follow live with heartbeats until the terminal
 // frame (or the client leaves). Shared by the solve and sweep streams —

@@ -399,10 +399,34 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON sends v as the JSON body of a reply with status. The status line
+// goes out with the body's first byte: json.Encoder writes nothing when it
+// cannot encode v, so that failure still becomes a 500 with an error body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	lw := &lazyStatus{w: w, status: status}
+	if err := json.NewEncoder(lw).Encode(v); err != nil && !lw.sent {
+		w.WriteHeader(http.StatusInternalServerError)
+		json.NewEncoder(w).Encode(api.ErrorResponse{
+			Error:     "encoding response: " + err.Error(),
+			RequestID: w.Header().Get("X-Request-ID"),
+		})
+	}
+}
+
+// lazyStatus holds a reply's status line back until its first body byte.
+type lazyStatus struct {
+	w      http.ResponseWriter
+	status int
+	sent   bool
+}
+
+func (l *lazyStatus) Write(b []byte) (int, error) {
+	if !l.sent {
+		l.sent = true
+		l.w.WriteHeader(l.status)
+	}
+	return l.w.Write(b)
 }
 
 // writeErr sends an api.ErrorResponse stamped with the request's ID so a

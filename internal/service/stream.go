@@ -41,11 +41,20 @@ func newStreamHub(key string, cancel context.CancelFunc) *streamHub {
 
 // publish appends one event and pokes every subscriber. Events after the
 // terminal done are dropped (the solver emits its own done event, which the
-// hub replaces with one carrying the wire-format result).
+// hub replaces with one carrying the wire-format result). So is a progress
+// frame that cannot be encoded; a done frame that cannot be encoded is
+// replaced by an error frame with status 500, so the stream still ends.
 func (h *streamHub) publish(event string, payload any) {
 	data, err := json.Marshal(payload)
 	if err != nil {
-		return
+		if event != api.StreamEventDone {
+			return
+		}
+		done := api.StreamDone{Error: "encoding done frame: " + err.Error(), Status: http.StatusInternalServerError}
+		if d, ok := payload.(api.StreamDone); ok {
+			done.RequestID = d.RequestID
+		}
+		data, _ = json.Marshal(done)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

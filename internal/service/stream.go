@@ -54,7 +54,7 @@ func (h *streamHub) publish(event string, payload any) {
 		if d, ok := payload.(api.StreamDone); ok {
 			done.RequestID = d.RequestID
 		}
-		data, _ = json.Marshal(done)
+		data, _ = json.Marshal(done) // strings and an int: always encodes
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
